@@ -18,6 +18,11 @@ object Tables {
   def loadGraph(spark: SparkSession, spec: Datasets.DatasetSpec): TemporalBipartiteGraph =
     TemporalBipartiteGraph.fromDF(BipartiteDF.normalize(spec.edges(spark)))
 
+  /** One timed enumeration, run after a full GC so that the previous run's
+    * garbage is not collected inside this run's timer.
+    */
+  private def measured(run: => Enumerators.Outcome): Enumerators.Outcome = { System.gc(); run }
+
   def fmt(d: Double): String = f"$d%.2f"
 
   /** Plain-text table printer (monospace aligned). */
@@ -56,8 +61,8 @@ object Tables {
     Enumerators.filterV(g, table1Settings.last, budgetMs = budgetMs)
     Enumerators.vFree(g, table1Settings.last, budgetMs = budgetMs)
     table1Settings.map { p =>
-      val fv = Enumerators.filterV(g, p, budgetMs = budgetMs)
-      val vf = Enumerators.vFree(g, p, budgetMs = budgetMs)
+      val fv = measured(Enumerators.filterV(g, p, budgetMs = budgetMs))
+      val vf = measured(Enumerators.vFree(g, p, budgetMs = budgetMs))
       Table1Row(p,
         filterVCmShare = fv.stats.cmShare * 100.0,
         filterVCmSec = fv.stats.cmNanos / 1e9,
@@ -145,7 +150,7 @@ object Tables {
     names.map { n =>
       val spec = Datasets.byName(n)
       val g = loadGraph(spark, spec)
-      Exp1Row(spec.name, algos.map(a => Enumerators.run(a, g, spec.defaults, budgetMs)))
+      Exp1Row(spec.name, algos.map(a => measured(Enumerators.run(a, g, spec.defaults, budgetMs))))
     }
   }
 
@@ -169,7 +174,7 @@ object Tables {
       val g = loadGraph(spark, spec)
       // JIT warm-up before the first measured dataset: all four code paths
       if (i == 0) algos.foreach(a => Enumerators.run(a, g, spec.defaults, budgetMs))
-      Exp6Row(spec.name, algos.map(a => Enumerators.run(a, g, spec.defaults, budgetMs)))
+      Exp6Row(spec.name, algos.map(a => measured(Enumerators.run(a, g, spec.defaults, budgetMs))))
     }
   }
 
@@ -189,8 +194,8 @@ object Tables {
     names.map { n =>
       val spec = Datasets.byName(n)
       val g = loadGraph(spark, spec)
-      val vf = Enumerators.vFree(g, spec.defaults, budgetMs = budgetMs)
-      val vfMinus = Enumerators.vFree(g, spec.defaults, useGraphFilter = false, budgetMs = budgetMs)
+      val vf = measured(Enumerators.vFree(g, spec.defaults, budgetMs = budgetMs))
+      val vfMinus = measured(Enumerators.vFree(g, spec.defaults, useGraphFilter = false, budgetMs = budgetMs))
       Exp5Row(spec.name, vf.stats.pruneRatio * 100.0, vf.stats.totalMs, vfMinus.stats.totalMs)
     }
 

@@ -12,7 +12,8 @@ import scala.collection.mutable
   * a terminal set against the results found so far. Because the DFS visits
   * increasing-id sequences in lexicographic order, any MFG containing a
   * terminal non-maximal set has already been recorded, so the subset check
-  * against recorded results is complete (validated against BruteForce).
+  * against recorded results is complete, and no recorded result is ever a
+  * subset of a later one (tests check BK-ALG+ against the brute-force oracle).
   *
   * BK-ALG+ (the variant actually benchmarked in the paper) is BkAlg run on
   * the GFCore-filtered graph — see [[Enumerators.bkAlgPlus]].
@@ -21,15 +22,8 @@ final class BkAlg(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
   val stats = new EnumStats
   private val results = mutable.ArrayBuffer.empty[Array[Int]] // each ascending
 
-  private def record(vs: Array[Int]): Unit = {
-    if (!results.exists(r => SortedOps.subsetOf(vs, r))) {
-      // defensively drop previously recorded subsets (cannot occur in
-      // lexicographic order, but keeps the method correct standalone)
-      val keep = results.filterNot(r => SortedOps.subsetOf(r, vs) && r.length < vs.length)
-      results.clear(); results ++= keep
-      results += vs
-    }
-  }
+  private def record(vs: Array[Int]): Unit =
+    if (!results.exists(r => SortedOps.subsetOf(vs, r))) results += vs
 
   // V_S along a branch is ascending (candidates processed in id order)
   private val vsStack = new Array[Int](math.max(1, g.nV))

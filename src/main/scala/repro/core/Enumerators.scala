@@ -23,7 +23,6 @@ object Enumerators {
   private def timed(name: String, g: TemporalBipartiteGraph, budgetMs: Long)
                    (body: Deadline => (Set[Set[Long]], EnumStats)): Outcome = {
     val deadline = if (budgetMs > 0) Deadline.ms(budgetMs) else Deadline.unlimited
-    System.gc() // reduce cross-run GC interference in benchmarks
     val t0 = System.nanoTime()
     try {
       val (res, stats) = body(deadline)

@@ -1,24 +1,59 @@
 package repro.core
 
-import repro.graph.{AlphaBetaCore, TemporalBipartiteGraph}
+import repro.graph.TemporalBipartiteGraph
+
+import scala.collection.mutable
 
 /** The (τ_V, τ_U, λ)-core graph filter (Definition 3.2 / Algorithm 2).
   *
-  * [[filterEdges]] is the paper's CorePrune cascade in O(|E|): mutable
-  * m-degrees δ(w,t) per snapshot plus the per-vertex survival counter s[w];
-  * any violation (m-degree below τ, or s[v] below λ) removes the vertex at
-  * that timestamp (or everywhere) and propagates to its neighbours through
-  * an explicit work stack.
-  *
-  * [[filterEdgesFixpoint]] is an independently-written greatest-fixpoint
-  * formulation (alternate per-snapshot (τ_V, τ_U)-core peeling and
-  * λ-survival filtering until stable) used to cross-validate the cascade —
-  * the fixpoint of Def. 3.2 is unique, so both must agree exactly.
+  * The cascade is the paper's CorePrune in O(|E|): mutable m-degrees δ(w,t)
+  * per snapshot plus the per-vertex survival counter s[w]; any violation
+  * (m-degree below τ, or s[v] below λ) removes the vertex at that timestamp
+  * (or everywhere) and propagates to its neighbours through an explicit
+  * work stack. An edge `(u, v, t)` survives iff both endpoints are still
+  * present at `t`.
   */
 object GFCore {
 
-  /** Surviving temporal edges (internal ids) — Algorithm 2. */
+  /** Surviving temporal edges (internal ids of `g`) — Algorithm 2. */
   def filterEdges(g: TemporalBipartiteGraph, p: Params): Array[(Int, Int, Int)] = {
+    val (dU, dV) = cascade(g, p)
+    g.internalEdges.filter { case (u, v, t) => dU(t)(u) > 0 && dV(t)(v) > 0 }
+  }
+
+  /** The (τ_V, τ_U, λ)-core as a compacted graph: the surviving edges are
+    * gathered as id columns, then U, V and T ids without a surviving edge
+    * are dropped and the rest renumbered in their relative order (original
+    * labels kept).
+    */
+  def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = {
+    val (dU, dV) = cascade(g, p)
+    val us, vs, ts = new mutable.ArrayBuilder.ofInt
+    for (t <- 0 until g.nT; u <- 0 until g.nU if dU(t)(u) > 0; v <- g.gammaU(t)(u) if dV(t)(v) > 0) {
+      us += u; vs += v; ts += t
+    }
+    val (ku, kv, kt) = (us.result(), vs.result(), ts.result())
+    TemporalBipartiteGraph.fromInternal(ku, kv, kt, compact(ku, g.uLabels), compact(kv, g.vLabels),
+      compact(kt, g.tLabels))
+  }
+
+  /** Renumbers the ids in `col` onto `0 until k` (k = distinct ids used),
+    * keeping their relative order; returns the labels of the kept ids.
+    */
+  private def compact(col: Array[Int], labels: Array[Long]): Array[Long] = {
+    val used = new Array[Boolean](labels.length)
+    col.foreach(used(_) = true)
+    val kept = labels.indices.filter(used(_)).toArray
+    val newId = new Array[Int](labels.length)
+    kept.indices.foreach(k => newId(kept(k)) = k)
+    col.indices.foreach(i => col(i) = newId(col(i)))
+    kept.map(labels(_))
+  }
+
+  /** Algorithm 2's cascade; returns the final m-degree tables
+    * `(dU(t)(u), dV(t)(v))`, where 0 means removed at `t`.
+    */
+  private def cascade(g: TemporalBipartiteGraph, p: Params): (Array[Array[Int]], Array[Array[Int]]) = {
     val nU = g.nU; val nV = g.nV; val nT = g.nT
     // mutable m-degrees; 0 = removed at that snapshot
     val dU = Array.tabulate(nT, nU)((t, u) => g.mDegU(u, t))
@@ -79,48 +114,6 @@ object GFCore {
       t += 1
     }
     drain()
-
-    g.internalEdges.filter { case (u, v, tt) => dU(tt)(u) > 0 && dV(tt)(v) > 0 }
-  }
-
-  /** Reference greatest-fixpoint implementation (tests cross-check it
-    * against [[filterEdges]]; see class doc).
-    */
-  def filterEdgesFixpoint(g: TemporalBipartiteGraph, p: Params): Array[(Int, Int, Int)] = {
-    val vAlive = Array.fill(g.nV)(true)
-    val uAllTrue = Array.fill(g.nU)(true)
-    var uIn: Array[Array[Boolean]] = null
-    var vIn: Array[Array[Boolean]] = null
-    var changed = true
-    while (changed) {
-      changed = false
-      uIn = new Array[Array[Boolean]](g.nT)
-      vIn = new Array[Array[Boolean]](g.nT)
-      var t = 0
-      while (t < g.nT) {
-        val (ui, vi) = AlphaBetaCore.snapshot(g, t, p.tauV, p.tauU, uAllTrue, vAlive)
-        uIn(t) = ui; vIn(t) = vi
-        t += 1
-      }
-      var v = 0
-      while (v < g.nV) {
-        if (vAlive(v)) {
-          var s = 0
-          var tt = 0
-          while (tt < g.nT) { if (vIn(tt)(v)) s += 1; tt += 1 }
-          if (s < p.lambda) { vAlive(v) = false; changed = true }
-        }
-        v += 1
-      }
-    }
-    g.internalEdges.filter { case (u, v, t) => uIn(t)(u) && vIn(t)(v) }
-  }
-
-  /** The (τ_V, τ_U, λ)-core as a compacted graph (original labels kept). */
-  def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = {
-    val kept = filterEdges(g, p)
-    TemporalBipartiteGraph.fromEdges(
-      kept.toSeq.map { case (u, v, t) => (g.uLabels(u), g.vLabels(v), g.tLabels(t)) }
-    )
+    (dU, dV)
   }
 }

@@ -1,29 +1,38 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 
 import scala.collection.mutable
 
 /** Compact in-memory temporal bipartite graph `G = (U, V, E)`.
   *
-  * Vertices are relabelled to dense internal ids `0 until nU` / `0 until nV`
-  * (ascending original label order); timestamps are relabelled to
-  * `0 until nT` (ascending original timestamp order). Original labels are
-  * kept so enumeration results can be reported in input-id space.
+  * Vertices have dense internal ids `0 until nU` / `0 until nV` and
+  * timestamps `0 until nT`; the label arrays map them back to the input's
+  * ids so enumeration results are reported in input-id space. A graph built
+  * from labels ([[TemporalBipartiteGraph.fromEdges]], `fromDF`) numbers
+  * each side in ascending label order.
   *
-  * Two adjacency views are materialised, both needed by the paper's
-  * algorithms:
+  * Three views are materialised, all needed by the paper's algorithms:
   *
-  *  - static CSR with per-edge timestamp lists (`uAdj`/`uAdjTs`,
-  *    `vAdj`/`vAdjTs`) — drives `N(·,G)` intersections and CheckFRE
-  *    (Algorithm 3) which iterates `T_{(u,v)}` per static edge;
+  *  - static CSR with per-edge timestamp lists (`uAdj`/`uAdjTs`) — drives
+  *    `N(·,G)` intersections and CheckFRE (Algorithm 3), which iterates
+  *    `T_{(u,v)}` per static edge;
+  *  - the reverse static adjacency `vAdj` (structural degrees of V);
   *  - per-snapshot adjacency (`gammaU(t)(u)`, `gammaV(t)(v)`) — drives the
   *    m-neighbor scans of GFCore (Algorithm 2) and VFree (Algorithm 4).
+  *
+  * Every graph comes from one builder, `fromInternal`, over packed `Int` id
+  * columns: a stable LSD counting sort orders the edges by `(u, v, t)`,
+  * adjacent duplicates are dropped, and all views are filled from that one
+  * ordering. Derived graphs map the id columns and build again: `relabelV`
+  * permutes V, `collapseStatic` zeroes `t`, and GFCore's compaction drops
+  * ids without a surviving edge while keeping the survivors' relative order
+  * (so a graph numbered in label order stays in label order).
   *
   * The class is immutable and `Serializable` so it can be broadcast to
   * executors for the distributed enumeration.
   */
-final class TemporalBipartiteGraph private[graph] (
+final class TemporalBipartiteGraph private (
     val nU: Int,
     val nV: Int,
     val nT: Int,
@@ -33,8 +42,6 @@ final class TemporalBipartiteGraph private[graph] (
     val uAdjTs: Array[Array[Array[Int]]],
     /** v -> sorted distinct static neighbours in U. */
     val vAdj: Array[Array[Int]],
-    /** v -> per-static-edge sorted timestamp list (parallel to `vAdj`). */
-    val vAdjTs: Array[Array[Array[Int]]],
     /** t -> u -> sorted m-neighbours Γ(u,t) ⊆ V. */
     val gammaU: Array[Array[Array[Int]]],
     /** t -> v -> sorted m-neighbours Γ(v,t) ⊆ U. */
@@ -69,16 +76,17 @@ final class TemporalBipartiteGraph private[graph] (
   /** Momentary degree δ(u, t) for u ∈ U. */
   def mDegU(u: Int, t: Int): Int = gammaU(t)(u).length
 
-  /** All temporal edges as internal-id triples (u, v, t), deterministic order. */
+  /** All temporal edges as packed id columns `(us, vs, ts)`, in `(u, v, t)` order. */
+  private def columns: (Array[Int], Array[Int], Array[Int]) = {
+    val us, vs, ts = new mutable.ArrayBuilder.ofInt
+    for (u <- 0 until nU; i <- uAdj(u).indices; t <- uAdjTs(u)(i)) { us += u; vs += uAdj(u)(i); ts += t }
+    (us.result(), vs.result(), ts.result())
+  }
+
+  /** All temporal edges as internal-id triples (u, v, t), in that order. */
   def internalEdges: Array[(Int, Int, Int)] = {
-    val out = Array.newBuilder[(Int, Int, Int)]
-    var u = 0
-    while (u < nU) {
-      val vs = uAdj(u); val tss = uAdjTs(u); var i = 0
-      while (i < vs.length) { val ts = tss(i); var k = 0; while (k < ts.length) { out += ((u, vs(i), ts(k))); k += 1 }; i += 1 }
-      u += 1
-    }
-    out.result()
+    val (us, vs, ts) = columns
+    Array.tabulate(us.length)(e => (us(e), vs(e), ts(e)))
   }
 
   /** All temporal edges in original-label space. */
@@ -92,18 +100,15 @@ final class TemporalBipartiteGraph private[graph] (
   def relabelV(perm: Array[Int]): TemporalBipartiteGraph = {
     require(perm.length == nV, s"perm size ${perm.length} != nV $nV")
     val inv = new Array[Int](nV)
-    var r = 0
-    while (r < nV) { inv(perm(r)) = r; r += 1 }
-    val edges = internalEdges.map { case (u, v, t) => (u, inv(v), t) }
-    TemporalBipartiteGraph.fromInternal(nU, nV, nT, edges, uLabels,
-      Array.tabulate(nV)(r => vLabels(perm(r))), tLabels)
+    perm.indices.foreach(r => inv(perm(r)) = r)
+    val (us, vs, ts) = columns
+    TemporalBipartiteGraph.fromInternal(us, vs.map(inv(_)), ts, uLabels, perm.map(vLabels(_)), tLabels)
   }
 
   /** Static bipartite projection (every timestamp collapsed onto t = 0). */
   def collapseStatic: TemporalBipartiteGraph = {
-    val edges = mutable.LinkedHashSet.empty[(Int, Int, Int)]
-    internalEdges.foreach { case (u, v, _) => edges += ((u, v, 0)) }
-    TemporalBipartiteGraph.fromInternal(nU, nV, 1, edges.toArray, uLabels, vLabels, Array(0L))
+    val (us, vs, _) = columns
+    TemporalBipartiteGraph.fromInternal(us, vs, new Array[Int](us.length), uLabels, vLabels, Array(0L))
   }
 }
 
@@ -111,85 +116,99 @@ object TemporalBipartiteGraph {
 
   /** Builds a graph from labelled temporal edges; duplicates are dropped. */
   def fromEdges(edges: Iterable[(Long, Long, Long)]): TemporalBipartiteGraph = {
-    val distinct = edges.toArray.distinct
-    val uLabels = distinct.map(_._1).distinct.sorted
-    val vLabels = distinct.map(_._2).distinct.sorted
-    val tLabels = distinct.map(_._3).distinct.sorted
-    val uId = uLabels.zipWithIndex.toMap
-    val vId = vLabels.zipWithIndex.toMap
-    val tId = tLabels.zipWithIndex.toMap
-    val internal = distinct.map { case (u, v, t) => (uId(u), vId(v), tId(t)) }
-    fromInternal(uLabels.length, vLabels.length, tLabels.length, internal, uLabels, vLabels, tLabels)
+    val es = edges.toArray
+    fromLabels(es.map(_._1), es.map(_._2), es.map(_._3))
   }
 
-  /** Builds a graph from a Spark DataFrame with columns (u: long, v: long, t: long-castable). */
+  /** Builds a graph from a Spark DataFrame with columns (u: long, v: long,
+    * t: long-castable). Any `Long` is a valid label; a null id is rejected
+    * with an `IllegalArgumentException` naming its column.
+    */
   def fromDF(df: DataFrame): TemporalBipartiteGraph = {
     val rows = df.selectExpr("cast(u as long) as u", "cast(v as long) as v", "cast(t as long) as t").collect()
-    fromEdges(rows.map { (r: Row) => (r.getLong(0), r.getLong(1), r.getLong(2)) })
+    val cols = Seq("u", "v", "t").zipWithIndex.map { case (name, c) =>
+      Array.tabulate(rows.length) { i =>
+        require(!rows(i).isNullAt(c), s"fromDF: null $name in edge row $i")
+        rows(i).getLong(c)
+      }
+    }
+    fromLabels(cols(0), cols(1), cols(2))
   }
 
-  /** Builds from internal-id triples; `nU`/`nV`/`nT` may exceed the ids used
-    * (isolated vertices / empty timestamps allowed, e.g. after filtering).
-    * Sort-based CSR construction — O(|E| log |E|), no per-edge boxing maps.
+  /** Labelled edge columns to a graph: each side's ids follow ascending label order. */
+  private def fromLabels(us: Array[Long], vs: Array[Long], ts: Array[Long]): TemporalBipartiteGraph = {
+    val uLabels = distinctSorted(us); val vLabels = distinctSorted(vs); val tLabels = distinctSorted(ts)
+    def ids(col: Array[Long], labels: Array[Long]) = col.map(java.util.Arrays.binarySearch(labels, _))
+    fromInternal(ids(us, uLabels), ids(vs, vLabels), ids(ts, tLabels), uLabels, vLabels, tLabels)
+  }
+
+  private def distinctSorted(col: Array[Long]): Array[Long] = {
+    val s = col.sorted
+    s.indices.collect { case i if i == 0 || s(i - 1) != s(i) => s(i) }.toArray
+  }
+
+  /** Stable counting sort of the edge indices `idx` by `key(e)` ∈ `[0, n)`. */
+  private def countingSort(idx: Array[Int], key: Array[Int], n: Int): Array[Int] = {
+    val next = new Array[Int](n + 1)
+    idx.foreach(e => next(key(e) + 1) += 1)
+    for (k <- 0 until n) next(k + 1) += next(k)
+    val out = new Array[Int](idx.length)
+    idx.foreach { e => out(next(key(e))) = e; next(key(e)) += 1 }
+    out
+  }
+
+  /** For each key in `[0, n)`, the `value(i)` of every `i < m` with that
+    * `key(i)`, in order of `i`.
     */
-  def fromInternal(nU: Int, nV: Int, nT: Int, edges: Array[(Int, Int, Int)],
-                   uLabels: Array[Long], vLabels: Array[Long], tLabels: Array[Long]): TemporalBipartiteGraph = {
-    val dedup = edges.distinct
-    dedup.foreach { case (u, v, t) =>
-      require(u >= 0 && u < nU && v >= 0 && v < nV && t >= 0 && t < nT, s"edge out of range: ($u,$v,$t)")
-    }
-    val empty = Array.empty[Int]
+  private def group(n: Int, m: Int)(key: Int => Int, value: Int => Int): Array[Array[Int]] = {
+    val len = new Array[Int](n)
+    for (i <- 0 until m) len(key(i)) += 1
+    val out = len.map(k => if (k == 0) Array.emptyIntArray else new Array[Int](k))
+    java.util.Arrays.fill(len, 0)
+    for (i <- 0 until m) { val k = key(i); out(k)(len(k)) = value(i); len(k) += 1 }
+    out
+  }
 
-    /** Static CSR for one side: edges sorted by (a, b, t); groups runs of a,
-      * within them runs of b, collecting per-edge timestamp lists.
-      */
-    def staticCsr(n: Int, sorted: Array[(Int, Int, Int)]): (Array[Array[Int]], Array[Array[Array[Int]]]) = {
-      val adj = Array.fill[Array[Int]](n)(empty)
-      val ts = Array.fill[Array[Array[Int]]](n)(Array.empty)
-      var i = 0
-      while (i < sorted.length) {
-        val a = sorted(i)._1
-        var j = i
-        while (j < sorted.length && sorted(j)._1 == a) j += 1
-        val nbrs = mutable.ArrayBuffer.empty[Int]
-        val tls = mutable.ArrayBuffer.empty[Array[Int]]
-        var k = i
-        while (k < j) {
-          val b = sorted(k)._2
-          var m = k
-          while (m < j && sorted(m)._2 == b) m += 1
-          nbrs += b
-          tls += Array.tabulate(m - k)(x => sorted(k + x)._3)
-          k = m
-        }
-        adj(a) = nbrs.toArray
-        ts(a) = tls.toArray
-        i = j
-      }
-      (adj, ts)
-    }
+  /** The one builder. Edge `e` is `(us(e), vs(e), ts(e))` in internal ids;
+    * the label arrays fix `nU`/`nV`/`nT`, so isolated vertices and empty
+    * timestamps are allowed. Duplicate edges are dropped; the columns are
+    * only read. O(|E| + nT·(nU + nV)).
+    */
+  private[repro] def fromInternal(us: Array[Int], vs: Array[Int], ts: Array[Int],
+                                  uLabels: Array[Long], vLabels: Array[Long],
+                                  tLabels: Array[Long]): TemporalBipartiteGraph = {
+    val nU = uLabels.length; val nV = vLabels.length; val nT = tLabels.length
+    require(vs.length == us.length && ts.length == us.length, "id columns differ in length")
+    for (e <- us.indices)
+      require(us(e) >= 0 && us(e) < nU && vs(e) >= 0 && vs(e) < nV && ts(e) >= 0 && ts(e) < nT,
+        s"edge out of range: (${us(e)},${vs(e)},${ts(e)})")
 
-    /** Snapshot adjacency: edges sorted by (t, a, b). */
-    def snapCsr(n: Int, sorted: Array[(Int, Int, Int)]): Array[Array[Array[Int]]] = {
-      val out = Array.fill(nT)(Array.fill[Array[Int]](n)(empty))
-      var i = 0
-      while (i < sorted.length) {
-        val (t, a, _) = sorted(i)
-        var j = i
-        while (j < sorted.length && sorted(j)._1 == t && sorted(j)._2 == a) j += 1
-        out(t)(a) = Array.tabulate(j - i)(x => sorted(i + x)._3)
-        i = j
-      }
-      out
+    // (u, v, t) order, least significant key first. Keep the first edge of
+    // each run of equal triples (`te`, with its static edge `sOf`) and the
+    // first of each run of equal (u, v) (`se`, the static edges).
+    val ord = countingSort(countingSort(countingSort(us.indices.toArray, ts, nT), vs, nV), us, nU)
+    val teB = new mutable.ArrayBuilder.ofInt; val sOfB = new mutable.ArrayBuilder.ofInt
+    val seB = new mutable.ArrayBuilder.ofInt
+    var p = -1
+    for (e <- ord) {
+      val newStatic = p < 0 || us(p) != us(e) || vs(p) != vs(e)
+      if (newStatic) seB += e
+      if (newStatic || ts(p) != ts(e)) { teB += e; sOfB += seB.length - 1 }
+      p = e
     }
+    val (te, sOf, se) = (teB.result(), sOfB.result(), seB.result())
 
-    val byU = dedup.map { case (u, v, t) => (u, v, t) }.sortBy(e => (e._1, e._2, e._3))
-    val byV = dedup.map { case (u, v, t) => (v, u, t) }.sortBy(e => (e._1, e._2, e._3))
-    val (uAdj, uAdjTs) = staticCsr(nU, byU)
-    val (vAdj, vAdjTs) = staticCsr(nV, byV)
-    val byTU = dedup.map { case (u, v, t) => (t, u, v) }.sortBy(e => (e._1, e._2, e._3))
-    val byTV = dedup.map { case (u, v, t) => (t, v, u) }.sortBy(e => (e._1, e._2, e._3))
-    new TemporalBipartiteGraph(nU, nV, nT, uAdj, uAdjTs, vAdj, vAdjTs,
-      snapCsr(nU, byTU), snapCsr(nV, byTV), uLabels, vLabels, tLabels)
+    // every list is filled in (u, v, t) order, so each comes out ascending
+    val uAdj = group(nU, se.length)(i => us(se(i)), i => vs(se(i)))
+    val vAdj = group(nV, se.length)(i => vs(se(i)), i => us(se(i)))
+    val tsOfStatic = group(se.length, te.length)(sOf(_), i => ts(te(i)))
+    var off = 0
+    val uAdjTs = uAdj.map { a => off += a.length; tsOfStatic.slice(off - a.length, off) }
+    def snapshots(n: Int, side: Array[Int], other: Array[Int]): Array[Array[Array[Int]]] = {
+      val flat = group(nT * n, te.length)(i => ts(te(i)) * n + side(te(i)), i => other(te(i)))
+      Array.tabulate(nT)(t => flat.slice(t * n, (t + 1) * n))
+    }
+    new TemporalBipartiteGraph(nU, nV, nT, uAdj, uAdjTs, vAdj, snapshots(nU, us, vs), snapshots(nV, vs, us),
+      uLabels, vLabels, tLabels)
   }
 }

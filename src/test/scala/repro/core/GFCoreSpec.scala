@@ -83,13 +83,13 @@ class GFCoreSpec extends AnyFunSuite {
   } {
     test(s"Algorithm-2 cascade ≡ reference fixpoint (seed $seed, $p)") {
       val g = TestGraphs.random(7, 7, 5, 0.45, seed + 7000)
-      assert(GFCore.filterEdges(g, p).toSet == GFCore.filterEdgesFixpoint(g, p).toSet)
+      assert(GFCore.filterEdges(g, p).toSet == GFCoreFixpoint.filterEdges(g, p).toSet)
     }
   }
 
   test("Algorithm-2 cascade ≡ reference fixpoint on planted and tiny graphs") {
     for (g <- Seq(TestGraphs.planted, TestGraphs.tiny); p <- Seq(Params(2, 2, 2), Params(2, 2, 3)))
-      assert(GFCore.filterEdges(g, p).toSet == GFCore.filterEdgesFixpoint(g, p).toSet)
+      assert(GFCore.filterEdges(g, p).toSet == GFCoreFixpoint.filterEdges(g, p).toSet)
   }
 
   for (seed <- 0 until 5) {

@@ -1,0 +1,113 @@
+package repro.graph
+
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.{forAll, propBoolean}
+import org.scalacheck.util.Pretty
+import org.scalatest.funsuite.AnyFunSuite
+
+import repro.TestGraphs
+import repro.core.{BruteForce, Enumerators, GFCore, Params}
+
+/** ScalaCheck properties of the one graph builder and of every graph
+  * derived through it (GFCore's compaction, `relabelV`, `collapseStatic`),
+  * on generated small graphs with duplicate edges, negative labels and
+  * empty edge sets; plus the edge cases an empty graph, a filter that
+  * removes everything and `|T| = 70` (two `TBits` words).
+  */
+class GraphBuilderPropertiesSpec extends AnyFunSuite {
+
+  private def check(prop: Prop, tests: Int = 200): Unit = {
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests).withInitialSeed(20240817L), prop)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  /** Labelled edges over a small id box; labels are spread out and partly
+    * negative, and a prefix of the edges is repeated.
+    */
+  private val genEdges: Gen[Seq[(Long, Long, Long)]] = for {
+    nU <- Gen.choose(1, 5); nV <- Gen.choose(1, 6); nT <- Gen.choose(1, 5)
+    m <- Gen.choose(0, 40)
+    es <- Gen.listOfN(m, for {
+      u <- Gen.choose(0, nU - 1); v <- Gen.choose(0, nV - 1); t <- Gen.choose(0, nT - 1)
+    } yield (7L * u - 10, -3L * v, 5L * t - 1000))
+    dup <- Gen.choose(0, m)
+  } yield es ++ es.take(dup)
+
+  private val genParams: Gen[Params] = for {
+    tauU <- Gen.choose(1, 3); tauV <- Gen.choose(1, 3); lambda <- Gen.choose(1, 3)
+  } yield Params(tauU, tauV, lambda)
+
+  test("builder ≡ groupBy/sorted reference on generated edge lists") {
+    check(forAll(genEdges) { es =>
+      val got = GraphFields(TemporalBipartiteGraph.fromEdges(es))
+      val want = GraphReference.of(es)
+      (got == want) :| s"got $got\nwant $want"
+    })
+  }
+
+  test("GFCore.apply ≡ fromEdges of the kept labelled edges, field by field") {
+    check(forAll(genEdges, genParams) { (es, p) =>
+      val g = TemporalBipartiteGraph.fromEdges(es)
+      val kept = GFCore.filterEdges(g, p).map { case (u, v, t) => (g.uLabels(u), g.vLabels(v), g.tLabels(t)) }
+      val got = GraphFields(GFCore(g, p))
+      val want = GraphFields(TemporalBipartiteGraph.fromEdges(kept))
+      (got == want) :| s"got $got\nwant $want"
+    })
+  }
+
+  test("relabelV(perm) then the inverse permutation gives back g") {
+    val genCase = for {
+      es <- genEdges
+      seed <- Gen.long
+    } yield (es, seed)
+    check(forAll(genCase) { case (es, seed) =>
+      val g = TemporalBipartiteGraph.fromEdges(es)
+      val perm = new scala.util.Random(seed).shuffle(Seq.range(0, g.nV)).toArray
+      val inv = new Array[Int](g.nV)
+      perm.indices.foreach(r => inv(perm(r)) = r)
+      val r = g.relabelV(perm)
+      (r.vLabels.toSeq == perm.toSeq.map(g.vLabels(_))) &&
+        (GraphFields(r.relabelV(inv)) == GraphFields(g))
+    })
+  }
+
+  test("collapseStatic ≡ fromEdges of (u, v, 0)") {
+    // an empty graph collapses onto one (empty) timestamp, so only non-empty inputs compare
+    check(forAll(genEdges.suchThat(_.nonEmpty)) { es =>
+      val got = GraphFields(TemporalBipartiteGraph.fromEdges(es).collapseStatic)
+      val want = GraphFields(TemporalBipartiteGraph.fromEdges(es.map { case (u, v, _) => (u, v, 0L) }))
+      (got == want) :| s"got $got\nwant $want"
+    })
+  }
+
+  test("empty edge set: a 0×0×0 graph on which every enumerator returns ∅") {
+    val g = TemporalBipartiteGraph.fromEdges(Nil)
+    assert(g.nU == 0 && g.nV == 0 && g.nT == 0 && g.temporalEdgeCount == 0)
+    for (name <- Enumerators.algorithmNames)
+      assert(Enumerators.run(name, g, Params(1, 1, 1)).results.get == Set.empty[Set[Long]], name)
+  }
+
+  test("a filter that removes everything compacts to 0×0×0") {
+    val g = TestGraphs.tiny
+    val f = GFCore(g, Params(4, 4, 4))
+    assert(f.nU == 0 && f.nV == 0 && f.nT == 0 && f.temporalEdgeCount == 0)
+    for (name <- Enumerators.algorithmNames)
+      assert(Enumerators.run(name, g, Params(4, 4, 4)).results.get == Set.empty[Set[Long]], name)
+  }
+
+  test("|T| = 70 (two TBits words): FilterV and VFree variants ≡ brute force") {
+    val genCase = for {
+      seed <- Gen.choose(0L, 1000000L)
+      density <- Gen.oneOf(0.3, 0.5)
+      p <- for (tauU <- Gen.choose(1, 3); tauV <- Gen.choose(1, 3); lambda <- Gen.oneOf(1, 10, 30, 65))
+           yield Params(tauU, tauV, lambda)
+    } yield (seed, density, p)
+    val names = Enumerators.algorithmNames.filter(n => n.startsWith("FilterV") || n.startsWith("VFree"))
+    check(forAll(genCase) { case (seed, density, p) =>
+      val g = TestGraphs.random(5, 6, 70, density, seed)
+      val want = BruteForce.mfgLabels(g, p)
+      val same = names.map(n => (Enumerators.run(n, g, p).results.get == want) :| s"$n at $p, seed $seed")
+      Prop.all(((g.nT == 70) :| s"nT ${g.nT}") +: same: _*)
+    }, tests = 40)
+  }
+}

@@ -1,0 +1,45 @@
+package repro.graph
+
+/** Every field of a [[TemporalBipartiteGraph]] as plain immutable
+  * collections, so two graphs (or a graph and [[GraphReference.of]]) compare
+  * field by field with `==`.
+  */
+final case class GraphFields(
+    nU: Int, nV: Int, nT: Int,
+    uLabels: Seq[Long], vLabels: Seq[Long], tLabels: Seq[Long],
+    uAdj: Seq[Seq[Int]], uAdjTs: Seq[Seq[Seq[Int]]], vAdj: Seq[Seq[Int]],
+    gammaU: Seq[Seq[Seq[Int]]], gammaV: Seq[Seq[Seq[Int]]])
+
+object GraphFields {
+  def apply(g: TemporalBipartiteGraph): GraphFields = {
+    def nested(a: Array[Array[Int]]): Seq[Seq[Int]] = a.toSeq.map(_.toSeq)
+    GraphFields(g.nU, g.nV, g.nT, g.uLabels.toSeq, g.vLabels.toSeq, g.tLabels.toSeq,
+      nested(g.uAdj), g.uAdjTs.toSeq.map(nested), nested(g.vAdj),
+      g.gammaU.toSeq.map(nested), g.gammaV.toSeq.map(nested))
+  }
+}
+
+/** Reference construction for tests: the graph a set of labelled edges
+  * should give, built from a `Set` of triples with plain `groupBy`/`sorted`
+  * and no code shared with the builder.
+  */
+object GraphReference {
+  def of(edges: Iterable[(Long, Long, Long)]): GraphFields = {
+    val labelled = edges.toSet
+    val uL = labelled.toSeq.map(_._1).distinct.sorted
+    val vL = labelled.toSeq.map(_._2).distinct.sorted
+    val tL = labelled.toSeq.map(_._3).distinct.sorted
+    val e = labelled.map { case (u, v, t) => (uL.indexOf(u), vL.indexOf(v), tL.indexOf(t)) }
+    val byU = e.groupBy(_._1); val byV = e.groupBy(_._2)
+    val byTU = e.groupBy(x => (x._3, x._1)); val byTV = e.groupBy(x => (x._3, x._2))
+    def sortedOf(s: Option[Set[(Int, Int, Int)]], f: ((Int, Int, Int)) => Int): Seq[Int] =
+      s.getOrElse(Set.empty).toSeq.map(f).distinct.sorted
+    val uAdj = uL.indices.map(u => sortedOf(byU.get(u), _._2))
+    GraphFields(uL.size, vL.size, tL.size, uL, vL, tL,
+      uAdj,
+      uL.indices.map(u => uAdj(u).map(v => sortedOf(byU.get(u).map(_.filter(_._2 == v)), _._3))),
+      vL.indices.map(v => sortedOf(byV.get(v), _._1)),
+      tL.indices.map(t => uL.indices.map(u => sortedOf(byTU.get((t, u)), _._2))),
+      tL.indices.map(t => vL.indices.map(v => sortedOf(byTV.get((t, v)), _._1))))
+  }
+}
