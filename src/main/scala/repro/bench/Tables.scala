@@ -16,7 +16,7 @@ object Tables {
 
   /** Builds the in-memory graph of a stand-in dataset. */
   def loadGraph(spark: SparkSession, spec: Datasets.DatasetSpec): TemporalBipartiteGraph =
-    TemporalBipartiteGraph.fromDF(BipartiteDF.normalize(spec.edges(spark)))
+    TemporalBipartiteGraph.fromDF(spec.edges(spark))
 
   /** One timed enumeration, run after a full GC so that the previous run's
     * garbage is not collected inside this run's timer.
@@ -114,7 +114,7 @@ object Tables {
   final case class Table3Result(mfg: Seq[Set[String]], msg: Seq[Set[String]], mfb: Seq[String])
 
   def table3(spark: SparkSession, budgetMs: Long = 120000): Table3Result = {
-    val g = TemporalBipartiteGraph.fromDF(BipartiteDF.normalize(CaseStudy.edges(spark)))
+    val g = TemporalBipartiteGraph.fromDF(CaseStudy.edges(spark))
     val p = CaseStudy.params
     val mfg = Enumerators.vFree(g, p, budgetMs = budgetMs).results.getOrElse(Set.empty)
       .toSeq.map(_.map(CaseStudy.conditionName)).sortBy(s => (-s.size, s.min))

@@ -57,11 +57,7 @@ final class BkAlg(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
 
   /** Runs the enumeration; returns MFGs in original-label space. */
   def run(): Set[Set[Long]] = {
-    val t0 = System.nanoTime()
-    stats.inputEdges = g.temporalEdgeCount
-    stats.filteredEdges = g.temporalEdgeCount
     enum(Array.range(0, g.nU), 0, Array.range(0, g.nV), 0)
-    stats.totalNanos = System.nanoTime() - t0
     results.iterator.map(_.map(g.vLabels).toSet).toSet
   }
 }

@@ -22,10 +22,9 @@ object Enumerators {
 
   private def timed(name: String, g: TemporalBipartiteGraph, budgetMs: Long)
                    (body: Deadline => (Set[Set[Long]], EnumStats)): Outcome = {
-    val deadline = if (budgetMs > 0) Deadline.ms(budgetMs) else Deadline.unlimited
     val t0 = System.nanoTime()
     try {
-      val (res, stats) = body(deadline)
+      val (res, stats) = body(Deadline.ms(budgetMs))
       stats.totalNanos = System.nanoTime() - t0 // include graph-filter time
       stats.inputEdges = g.temporalEdgeCount
       Outcome(name, Some(res), stats)

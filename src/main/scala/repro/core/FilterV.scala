@@ -133,13 +133,9 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
 
   /** Runs the enumeration; returns MFGs in original-label space. */
   def run(): Set[Set[Long]] = {
-    val t0 = System.nanoTime()
-    stats.inputEdges = g.temporalEdgeCount
-    stats.filteredEdges = g.temporalEdgeCount
     enum(Array.range(0, g.nU), 0,
          if (useCandFilter) tb.full else null,
          Array.range(0, g.nV), 0, mutable.ArrayBuffer.empty[Int])
-    stats.totalNanos = System.nanoTime() - t0
     results.iterator.map(_.map(g.vLabels).toSet).toSet
   }
 }

@@ -6,35 +6,36 @@ import scala.collection.mutable
 
 /** The (τ_V, τ_U, λ)-core graph filter (Definition 3.2 / Algorithm 2).
   *
-  * The cascade is the paper's CorePrune in O(|E|): mutable m-degrees δ(w,t)
-  * per snapshot plus the per-vertex survival counter s[w]; any violation
-  * (m-degree below τ, or s[v] below λ) removes the vertex at that timestamp
-  * (or everywhere) and propagates to its neighbours through an explicit
-  * work stack. An edge `(u, v, t)` survives iff both endpoints are still
-  * present at `t`.
+  * The cascade is the paper's CorePrune in O(|E|) over one flat `Int` table
+  * `deg`: slot `t·(nU+nV) + w` holds the m-degree δ(w, t) of vertex `w`
+  * (`w = u` for u ∈ U, `w = nU + v` for v ∈ V) and 0 once `w` is removed at
+  * `t`. A U slot needs δ ≥ τ_V, a V slot δ ≥ τ_U, and each v must stay
+  * present at ≥ λ timestamps (its survival counter `s(v)`). A violating
+  * slot is zeroed and pushed onto an `Int` stack of slots, so each slot is
+  * pushed at most once; popping it decrements its present neighbours at
+  * `t`. An edge `(u, v, t)` survives iff both its slots are non-zero.
+  *
+  * Memory: the table's nT·(nU+nV) `Int`s (which the builder bounds by
+  * `Int.MaxValue`) plus a stack of at most 2·|E| slots.
   */
 object GFCore {
 
-  /** Surviving temporal edges (internal ids of `g`) — Algorithm 2. */
+  /** Surviving temporal edges (internal ids of `g`) — Algorithm 2 — in
+    * `(t, u, v)` order.
+    */
   def filterEdges(g: TemporalBipartiteGraph, p: Params): Array[(Int, Int, Int)] = {
-    val (dU, dV) = cascade(g, p)
-    g.internalEdges.filter { case (u, v, t) => dU(t)(u) > 0 && dV(t)(v) > 0 }
+    val (us, vs, ts) = survivors(g, p)
+    Array.tabulate(us.length)(e => (us(e), vs(e), ts(e)))
   }
 
-  /** The (τ_V, τ_U, λ)-core as a compacted graph: the surviving edges are
-    * gathered as id columns, then U, V and T ids without a surviving edge
-    * are dropped and the rest renumbered in their relative order (original
-    * labels kept).
+  /** The (τ_V, τ_U, λ)-core as a compacted graph: U, V and T ids without a
+    * surviving edge are dropped and the rest renumbered in their relative
+    * order (original labels kept).
     */
   def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = {
-    val (dU, dV) = cascade(g, p)
-    val us, vs, ts = new mutable.ArrayBuilder.ofInt
-    for (t <- 0 until g.nT; u <- 0 until g.nU if dU(t)(u) > 0; v <- g.gammaU(t)(u) if dV(t)(v) > 0) {
-      us += u; vs += v; ts += t
-    }
-    val (ku, kv, kt) = (us.result(), vs.result(), ts.result())
-    TemporalBipartiteGraph.fromInternal(ku, kv, kt, compact(ku, g.uLabels), compact(kv, g.vLabels),
-      compact(kt, g.tLabels))
+    val (us, vs, ts) = survivors(g, p)
+    TemporalBipartiteGraph.fromInternal(us, vs, ts, compact(us, g.uLabels), compact(vs, g.vLabels),
+      compact(ts, g.tLabels))
   }
 
   /** Renumbers the ids in `col` onto `0 until k` (k = distinct ids used),
@@ -50,70 +51,62 @@ object GFCore {
     kept.map(labels(_))
   }
 
-  /** Algorithm 2's cascade; returns the final m-degree tables
-    * `(dU(t)(u), dV(t)(v))`, where 0 means removed at `t`.
-    */
-  private def cascade(g: TemporalBipartiteGraph, p: Params): (Array[Array[Int]], Array[Array[Int]]) = {
-    val nU = g.nU; val nV = g.nV; val nT = g.nT
-    // mutable m-degrees; 0 = removed at that snapshot
-    val dU = Array.tabulate(nT, nU)((t, u) => g.mDegU(u, t))
-    val dV = Array.tabulate(nT, nV)((t, v) => g.mDegV(v, t))
-    // s[w]: number of snapshots where w is still present (lines 1-5)
-    val sU = Array.tabulate(nU)(u => (0 until nT).count(t => dU(t)(u) > 0))
-    val sV = Array.tabulate(nV)(v => (0 until nT).count(t => dV(t)(v) > 0))
-
-    // explicit CorePrune stack; encode (t, side, id) in a Long
-    val stack = new java.util.ArrayDeque[Long]()
-    @inline def encU(t: Int, u: Int): Long = (t.toLong << 32) | u.toLong
-    @inline def encV(t: Int, v: Int): Long = (t.toLong << 32) | (nU.toLong + v)
-
-    def pruneU(t: Int, u: Int): Unit = if (dU(t)(u) > 0) { dU(t)(u) = 0; stack.push(encU(t, u)) }
-    def pruneV(t: Int, v: Int): Unit = if (dV(t)(v) > 0) { dV(t)(v) = 0; stack.push(encV(t, v)) }
-
-    def drain(): Unit = while (!stack.isEmpty) {
-      val code = stack.pop()
-      val t = (code >>> 32).toInt
-      val idx = (code & 0xffffffffL).toInt
-      if (idx < nU) {
-        val u = idx
-        // u removed at t: decrement surviving m-neighbours (lines 18-22)
-        val nb = g.gammaU(t)(u); var i = 0
-        while (i < nb.length) {
-          val v = nb(i)
-          if (dV(t)(v) > 0) { dV(t)(v) -= 1; if (dV(t)(v) < p.tauU) pruneV(t, v) }
-          i += 1
-        }
-        // survival bookkeeping (lines 23-29); u needs s ≥ 1, trivially held
-        if (sU(u) > 0) sU(u) -= 1
-      } else {
-        val v = idx - nU
-        val nb = g.gammaV(t)(v); var i = 0
-        while (i < nb.length) {
-          val u = nb(i)
-          if (dU(t)(u) > 0) { dU(t)(u) -= 1; if (dU(t)(u) < p.tauV) pruneU(t, u) }
-          i += 1
-        }
-        if (sV(v) > 0) {
-          sV(v) -= 1
-          if (sV(v) < p.lambda) {
-            sV(v) = 0
-            var tt = 0
-            while (tt < nT) { pruneV(tt, v); tt += 1 }
-          }
-        }
-      }
+  /** The surviving edges as id columns `(us, vs, ts)`, in `(t, u, v)` order. */
+  private def survivors(g: TemporalBipartiteGraph, p: Params): (Array[Int], Array[Int], Array[Int]) = {
+    val deg = cascade(g, p); val n = g.nU + g.nV
+    val us, vs, ts = new mutable.ArrayBuilder.ofInt
+    for (t <- 0 until g.nT; u <- 0 until g.nU if deg(t * n + u) > 0; v <- g.gammaU(t)(u)
+         if deg(t * n + g.nU + v) > 0) {
+      us += u; vs += v; ts += t
     }
+    (us.result(), vs.result(), ts.result())
+  }
+
+  /** Algorithm 2's cascade; returns the final `deg` table. */
+  private def cascade(g: TemporalBipartiteGraph, p: Params): Array[Int] = {
+    val nU = g.nU; val nT = g.nT; val n = nU + g.nV
+    // m-degrees and, per v, the number of snapshots where v is present (lines 1-5)
+    val deg = new Array[Int](nT * n)
+    val s = new Array[Int](g.nV)
+    var present = 0
+    for (t <- 0 until nT; w <- 0 until n) {
+      val d = if (w < nU) g.gammaU(t)(w).length else g.gammaV(t)(w - nU).length
+      deg(t * n + w) = d
+      if (d > 0) { present += 1; if (w >= nU) s(w - nU) += 1 }
+    }
+    def tau(w: Int): Int = if (w < nU) p.tauV else p.tauU
+
+    val stack = new Array[Int](present)
+    var top = 0
+    def prune(slot: Int): Unit = if (deg(slot) > 0) { deg(slot) = 0; stack(top) = slot; top += 1 }
 
     // initial violations (lines 6-11)
-    var t = 0
-    while (t < nT) {
-      var u = 0
-      while (u < nU) { if (dU(t)(u) > 0 && dU(t)(u) < p.tauV) pruneU(t, u); u += 1 }
-      var v = 0
-      while (v < nV) { if (dV(t)(v) > 0 && (dV(t)(v) < p.tauU || sV(v) < p.lambda)) pruneV(t, v); v += 1 }
-      t += 1
+    for (slot <- deg.indices) {
+      val w = slot % n
+      if (deg(slot) < tau(w) || w >= nU && s(w - nU) < p.lambda) prune(slot)
     }
-    drain()
-    (dU, dV)
+    while (top > 0) {
+      top -= 1
+      val t = stack(top) / n; val w = stack(top) % n; val row = t * n
+      // w removed at t: its present m-neighbours lose one degree (lines 18-22).
+      // One that would fall below τ is pruned instead, so no slot reaches 0
+      // unpushed and every V removal reaches s (τ_U = 1).
+      val nb = if (w < nU) g.gammaU(t)(w) else g.gammaV(t)(w - nU)
+      val off = if (w < nU) row + nU else row
+      var i = 0
+      while (i < nb.length) {
+        val x = off + nb(i)
+        if (deg(x) > tau(x - row)) deg(x) -= 1 else prune(x)
+        i += 1
+      }
+      // survival bookkeeping (lines 23-29); u needs s ≥ 1, which holds
+      // trivially. A v below λ from the start had every slot pruned above,
+      // so v crosses λ − 1 at most once.
+      if (w >= nU) {
+        s(w - nU) -= 1
+        if (s(w - nU) == p.lambda - 1) { var tt = 0; while (tt < nT) { prune(tt * n + w); tt += 1 } }
+      }
+    }
+    deg
   }
 }

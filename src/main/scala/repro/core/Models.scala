@@ -29,8 +29,7 @@ object Models {
 
   /** Maximal frequent (τ_U, τ_V)-bicliques (MFB) with frequency ≥ λ. */
   def mfb(g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0): Option[Vector[Biclique]] = {
-    val deadline = if (budgetMs > 0) Deadline.ms(budgetMs) else Deadline.unlimited
-    try Some(mfbInternal(g, p, deadline))
+    try Some(mfbInternal(g, p, Deadline.ms(budgetMs)))
     catch { case _: TimeBudgetExceeded => None }
   }
 

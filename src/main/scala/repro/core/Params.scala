@@ -29,6 +29,7 @@ final class Deadline(limitMs: Long) extends Serializable {
 object Deadline {
   /** No limit. */
   def unlimited: Deadline = new Deadline(0)
+  /** Expires `limit` ms from now; a `limit` ≤ 0 never expires. */
   def ms(limit: Long): Deadline = new Deadline(limit)
 }
 

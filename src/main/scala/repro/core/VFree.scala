@@ -147,10 +147,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
 
   /** Full enumeration (all root seeds in ascending id order). */
   def run(): Set[Set[Long]] = {
-    val t0 = System.nanoTime()
     var v = 0
     while (v < g.nV) { branch(v, Nil, 0, allTs); v += 1 }
-    stats.totalNanos = System.nanoTime() - t0
     results.iterator.map(_.map(g.vLabels).toSet).toSet
   }
 

@@ -29,6 +29,10 @@ import scala.collection.mutable
   * ids without a surviving edge while keeping the survivors' relative order
   * (so a graph numbered in label order stays in label order).
   *
+  * Size bound: nT·(nU + nV) ≤ `Int.MaxValue`, checked by the builder, so a
+  * per-snapshot vertex table indexed `t·(nU + nV) + w` (GFCore's) has `Int`
+  * indices.
+  *
   * The class is immutable and `Serializable` so it can be broadcast to
   * executors for the distributed enumeration.
   */
@@ -172,12 +176,14 @@ object TemporalBipartiteGraph {
   /** The one builder. Edge `e` is `(us(e), vs(e), ts(e))` in internal ids;
     * the label arrays fix `nU`/`nV`/`nT`, so isolated vertices and empty
     * timestamps are allowed. Duplicate edges are dropped; the columns are
-    * only read. O(|E| + nT·(nU + nV)).
+    * only read. O(|E| + nT·(nU + nV)). Rejects nT·(nU + nV) > `Int.MaxValue`.
     */
   private[repro] def fromInternal(us: Array[Int], vs: Array[Int], ts: Array[Int],
                                   uLabels: Array[Long], vLabels: Array[Long],
                                   tLabels: Array[Long]): TemporalBipartiteGraph = {
     val nU = uLabels.length; val nV = vLabels.length; val nT = tLabels.length
+    require(nT.toLong * (nU.toLong + nV) <= Int.MaxValue,
+      s"graph too large: nT·(nU+nV) = ${nT}·(${nU}+${nV}) exceeds Int.MaxValue = ${Int.MaxValue}")
     require(vs.length == us.length && ts.length == us.length, "id columns differ in length")
     for (e <- us.indices)
       require(us(e) >= 0 && us(e) < nU && vs(e) >= 0 && vs(e) < nV && ts(e) >= 0 && ts(e) < nT,

@@ -1,9 +1,11 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
-import repro.graph.TemporalBipartiteGraph
+import repro.graph.{GraphGen, TemporalBipartiteGraph}
 
 class GFCoreSpec extends AnyFunSuite {
 
@@ -62,6 +64,15 @@ class GFCoreSpec extends AnyFunSuite {
     assert(f.temporalEdgeCount == 0)
   }
 
+  test("τ_U = 1: a v whose m-degree cascades to 0 loses that snapshot for λ") {
+    // v2 is in 1 < λ snapshot → u0 leaves t3 → v1's δ(t3) falls 1 → 0, so v1
+    // is left with 2 < λ snapshots → u0 leaves t0/t1 → nothing survives
+    val g = TestGraphs.of((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 2), (0, 1, 3), (0, 2, 3))
+    val p = Params(1, 2, 3)
+    assert(GFCoreFixpoint.filterEdges(g, p).isEmpty)
+    assert(GFCore.filterEdges(g, p).isEmpty)
+  }
+
   for {
     seed <- 0 until 15
     p <- Seq(Params(1, 1, 1), Params(2, 2, 2), Params(2, 1, 3))
@@ -100,5 +111,37 @@ class GFCoreSpec extends AnyFunSuite {
       val twice = GFCore(once, p)
       assert(once.labeledEdges.toSet == twice.labeledEdges.toSet)
     }
+  }
+
+  /** `GraphGen.ids` fed raw (duplicates included) to the builder, with the
+    * timestamps spread `gap` apart so |T| reaches 70 with most snapshots
+    * empty; ids of the box without an edge stay as isolated vertices. About
+    * a quarter of the cases keep some edges at `params(4)`, hence the 1000
+    * cases per property.
+    */
+  private val genGraph: Gen[TemporalBipartiteGraph] = for {
+    idEdges <- GraphGen.ids(120)
+    gap <- Gen.choose(1, 14)
+  } yield {
+    val ((nU, nV, nT), es) = idEdges
+    def labels(n: Int) = Array.tabulate(n)(_.toLong)
+    TemporalBipartiteGraph.fromInternal(es.map(_._1).toArray, es.map(_._2).toArray, es.map(_._3 * gap).toArray,
+      labels(nU), labels(nV), labels(nT * gap))
+  }
+
+  test("property: cascade ≡ reference fixpoint (duplicates, isolated vertices, |T| ≤ 70)") {
+    GraphGen.check(forAll(genGraph, GraphGen.params(4)) { (g, p) =>
+      val got = GFCore.filterEdges(g, p).toSet
+      val want = GFCoreFixpoint.filterEdges(g, p).toSet
+      (got == want) :| s"$p: got $got\nwant $want"
+    }, tests = 1000)
+  }
+
+  test("property: raising τ_U, τ_V or λ by one keeps a subset of the edges") {
+    GraphGen.check(forAll(genGraph, GraphGen.params(4)) { (g, p) =>
+      val kept = GFCore.filterEdges(g, p).toSet
+      val raised = Seq(p.copy(tauU = p.tauU + 1), p.copy(tauV = p.tauV + 1), p.copy(lambda = p.lambda + 1))
+      Prop.all(raised.map(q => GFCore.filterEdges(g, q).toSet.subsetOf(kept) :| s"$p -> $q"): _*)
+    }, tests = 1000)
   }
 }

@@ -1,12 +1,12 @@
 package repro.graph
 
-import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.{Gen, Prop}
 import org.scalacheck.Prop.{forAll, propBoolean}
-import org.scalacheck.util.Pretty
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.core.{BruteForce, Enumerators, GFCore, Params}
+import repro.graph.GraphGen.{check, edges => genEdges}
 
 /** ScalaCheck properties of the one graph builder and of every graph
   * derived through it (GFCore's compaction, `relabelV`, `collapseStatic`),
@@ -16,26 +16,7 @@ import repro.core.{BruteForce, Enumerators, GFCore, Params}
   */
 class GraphBuilderPropertiesSpec extends AnyFunSuite {
 
-  private def check(prop: Prop, tests: Int = 200): Unit = {
-    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(tests).withInitialSeed(20240817L), prop)
-    assert(res.passed, Pretty.pretty(res))
-  }
-
-  /** Labelled edges over a small id box; labels are spread out and partly
-    * negative, and a prefix of the edges is repeated.
-    */
-  private val genEdges: Gen[Seq[(Long, Long, Long)]] = for {
-    nU <- Gen.choose(1, 5); nV <- Gen.choose(1, 6); nT <- Gen.choose(1, 5)
-    m <- Gen.choose(0, 40)
-    es <- Gen.listOfN(m, for {
-      u <- Gen.choose(0, nU - 1); v <- Gen.choose(0, nV - 1); t <- Gen.choose(0, nT - 1)
-    } yield (7L * u - 10, -3L * v, 5L * t - 1000))
-    dup <- Gen.choose(0, m)
-  } yield es ++ es.take(dup)
-
-  private val genParams: Gen[Params] = for {
-    tauU <- Gen.choose(1, 3); tauV <- Gen.choose(1, 3); lambda <- Gen.choose(1, 3)
-  } yield Params(tauU, tauV, lambda)
+  private val genParams = GraphGen.params(3)
 
   test("builder ≡ groupBy/sorted reference on generated edge lists") {
     check(forAll(genEdges) { es =>

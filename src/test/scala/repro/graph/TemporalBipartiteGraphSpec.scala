@@ -83,6 +83,16 @@ class TemporalBipartiteGraphSpec extends AnyFunSuite {
     }
   }
 
+  test("fromInternal rejects nT·(nU+nV) > Int.MaxValue, naming the bound") {
+    // 65,536 · (32,768 + 0) = 2^31: one past the bound, with no edges at all
+    val e = Array.emptyIntArray
+    val err = intercept[IllegalArgumentException] {
+      TemporalBipartiteGraph.fromInternal(e, e, e, new Array[Long](32768), Array.emptyLongArray,
+        new Array[Long](65536))
+    }
+    assert(err.getMessage.contains("Int.MaxValue"), err.getMessage)
+  }
+
   for (seed <- 0 until 10) {
     test(s"random graph invariants (seed $seed)") {
       val g = TestGraphs.random(5, 6, 4, 0.3, seed)
