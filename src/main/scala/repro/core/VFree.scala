@@ -23,8 +23,10 @@ import scala.collection.mutable
   *
   * The caller is responsible for graph filtering (GFCore) and the
   * ascending-structural-degree ID reorder (`TemporalBipartiteGraph.relabelV`)
-  * — see [[Enumerators.vFree]]. Root branches are independent, which is what
-  * [[repro.spark.DistributedMfg]] exploits via [[runSeed]].
+  * — see [[Enumerators.vFree]]. Root branches are independent, so the one
+  * search entry is [[runSeed]]: [[run]] fans out over every seed in this JVM
+  * (checking that no group is emitted twice), [[repro.spark.DistributedMfg]]
+  * over a Spark Dataset.
   *
   * Two guards absent from the paper's printed pseudocode are added on its
   * line 40 (|C_T'| ≥ λ and |V_S'| ≥ τ_V): without them root-level seeds that
@@ -145,11 +147,14 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     inVS(v) = false
   }
 
-  /** Full enumeration (all root seeds in ascending id order). */
+  /** Full enumeration: [[runSeed]] over every root seed in ascending id
+    * order. Throws `IllegalStateException` if a group is emitted twice.
+    */
   def run(): Set[Set[Long]] = {
-    var v = 0
-    while (v < g.nV) { branch(v, Nil, 0, allTs); v += 1 }
-    results.iterator.map(_.map(g.vLabels).toSet).toSet
+    val found = mutable.HashSet.empty[Set[Long]]
+    for (seed <- 0 until g.nV; s <- runSeed(seed))
+      if (!found.add(s)) throw new IllegalStateException(s"VFree emitted group $s twice")
+    found.toSet
   }
 
   /** Enumerates only the MFGs discovered in root branch `seed` (internal
@@ -159,10 +164,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     * so one VFree instance can serve many seeds sequentially.
     */
   def runSeed(seed: Int): Vector[Set[Long]] = {
-    val before = results.length
+    results.clear() // keep per-seed memory flat
     branch(seed, Nil, 0, allTs)
-    val out = results.view.slice(before, results.length).map(_.map(g.vLabels).toSet).toVector
-    results.remove(before, results.length - before) // keep per-seed memory flat
-    out
+    results.iterator.map(_.map(g.vLabels).toSet).toVector
   }
 }

@@ -2,34 +2,34 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.{Enumerators, Params, VFree, Deadline}
+import repro.core.{Enumerators, GFCore, Params, VFree, Deadline}
 import repro.graph.TemporalBipartiteGraph
 
-/** Distributed MFG enumeration: the repo's `repro_why` dataflow mapping.
+/** Distributed MFG enumeration: the local pipeline plus a Spark fan-out.
   *
-  * Pipeline:
-  *  1. prune the edge table with the Catalyst GFCore ([[GFCoreDF]]);
-  *  2. collect the (heavily pruned) graph, apply the VFree ID reorder, and
-  *     broadcast it to the executors;
-  *  3. distribute the root-level search branches ("seeds", one per V vertex
-  *     in reordered-id order) over a Dataset and run each branch with the
-  *     exact VFree engine — root branches are independent and their results
-  *     are globally maximal without cross-partition reconciliation
-  *     (Theorem 4.1's order argument);
-  *  4. return the MFGs as a DataFrame of sorted label arrays.
+  *  1. On the driver: `fromDF`, [[GFCore]] and VFree's degree reorder, the
+  *     calls [[Enumerators.vFree]] makes. The driver holds the unfiltered
+  *     graph once (1.7 MB for the D4 stand-in) while GFCore runs.
+  *  2. Broadcast the filtered graph to the executors.
+  *  3. One seed per V vertex over a Dataset, each run with [[VFree.runSeed]]:
+  *     root branches are independent and their results are globally maximal
+  *     without cross-partition reconciliation (Theorem 4.1's order argument).
+  *  4. Return the MFGs as a DataFrame of sorted label arrays.
   *
-  * Each partition instantiates VFree once and reuses its counting arrays
-  * across all its seeds (they return to the zero state between seeds).
+  * The Catalyst form of Algorithm 2 in this package keeps the same edges but
+  * runs one Spark job per peeling round (seconds, against milliseconds for
+  * GFCore), so it is not on this path. Each partition reuses one VFree's
+  * counting arrays for its seeds.
   */
 object DistributedMfg {
 
   /** Runs the pipeline; output DataFrame has one `group: array<long>` column
-    * with the MFG's V-side labels in ascending order.
+    * with the MFG's V-side labels in ascending order. A null `u`, `v` or `t`
+    * fails with an `IllegalArgumentException` naming the column.
     */
   def run(spark: SparkSession, edges: DataFrame, p: Params): DataFrame = {
     import spark.implicits._
-    val pruned = GFCoreDF(edges, p)
-    val g = Enumerators.reorderByDegree(TemporalBipartiteGraph.fromDF(pruned))
+    val g = Enumerators.reorderByDegree(GFCore(TemporalBipartiteGraph.fromDF(edges), p))
     val bc = spark.sparkContext.broadcast(g)
     val parallelism = math.max(1, math.min(g.nV, spark.sparkContext.defaultParallelism * 2))
     spark.range(0, g.nV.toLong)
@@ -40,8 +40,4 @@ object DistributedMfg {
       }
       .toDF("group")
   }
-
-  /** Collects the result as a canonical set of label sets (test helper). */
-  def runToSets(spark: SparkSession, edges: DataFrame, p: Params): Set[Set[Long]] =
-    run(spark, edges, p).collect().map(_.getSeq[Long](0).toSet).toSet
 }

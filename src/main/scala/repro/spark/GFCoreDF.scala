@@ -15,7 +15,8 @@ import repro.core.Params
   *    terminates in ≤ peeling-depth rounds);
   *  - outer loop: λ-survival filter on V — distinct (v, t) count ≥ λ.
   *
-  * `localCheckpoint` truncates the growing lineage each round.
+  * `localCheckpoint` truncates the growing lineage each round. Off the
+  * [[DistributedMfg]] path; tested against GFCore and measured by perfbench.
   */
 object GFCoreDF {
 

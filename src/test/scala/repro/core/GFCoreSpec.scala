@@ -1,6 +1,6 @@
 package repro.core
 
-import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop
 import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -113,24 +113,10 @@ class GFCoreSpec extends AnyFunSuite {
     }
   }
 
-  /** `GraphGen.ids` fed raw (duplicates included) to the builder, with the
-    * timestamps spread `gap` apart so |T| reaches 70 with most snapshots
-    * empty; ids of the box without an edge stay as isolated vertices. About
-    * a quarter of the cases keep some edges at `params(4)`, hence the 1000
-    * cases per property.
-    */
-  private val genGraph: Gen[TemporalBipartiteGraph] = for {
-    idEdges <- GraphGen.ids(120)
-    gap <- Gen.choose(1, 14)
-  } yield {
-    val ((nU, nV, nT), es) = idEdges
-    def labels(n: Int) = Array.tabulate(n)(_.toLong)
-    TemporalBipartiteGraph.fromInternal(es.map(_._1).toArray, es.map(_._2).toArray, es.map(_._3 * gap).toArray,
-      labels(nU), labels(nV), labels(nT * gap))
-  }
-
+  // About a quarter of the cases keep some edges at `params(4)`, hence the
+  // 1000 cases per property.
   test("property: cascade ≡ reference fixpoint (duplicates, isolated vertices, |T| ≤ 70)") {
-    GraphGen.check(forAll(genGraph, GraphGen.params(4)) { (g, p) =>
+    GraphGen.check(forAll(GraphGen.graphs, GraphGen.params(4)) { (g, p) =>
       val got = GFCore.filterEdges(g, p).toSet
       val want = GFCoreFixpoint.filterEdges(g, p).toSet
       (got == want) :| s"$p: got $got\nwant $want"
@@ -138,7 +124,7 @@ class GFCoreSpec extends AnyFunSuite {
   }
 
   test("property: raising τ_U, τ_V or λ by one keeps a subset of the edges") {
-    GraphGen.check(forAll(genGraph, GraphGen.params(4)) { (g, p) =>
+    GraphGen.check(forAll(GraphGen.graphs, GraphGen.params(4)) { (g, p) =>
       val kept = GFCore.filterEdges(g, p).toSet
       val raised = Seq(p.copy(tauU = p.tauU + 1), p.copy(tauV = p.tauV + 1), p.copy(lambda = p.lambda + 1))
       Prop.all(raised.map(q => GFCore.filterEdges(g, q).toSet.subsetOf(kept) :| s"$p -> $q"): _*)

@@ -1,8 +1,10 @@
 package repro.core
 
+import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
+import repro.graph.GraphGen
 
 /** VFree-specific invariants beyond the brute-force cross-validation. */
 class VFreeSpec extends AnyFunSuite {
@@ -26,6 +28,17 @@ class VFreeSpec extends AnyFunSuite {
       val total = bySeeds.map(_.size).sum
       assert(bySeeds.flatten.toSet.size == total, s"seed $seed found duplicates")
     }
+  }
+
+  test("property: runSeed over every seed of the reordered core emits each MFG once") {
+    GraphGen.check(forAll(GraphGen.graphs, GraphGen.params(4)) { (g, p) =>
+      val rg = Enumerators.reorderByDegree(GFCore(g, p))
+      val engine = new VFree(rg, p, Deadline.unlimited)
+      val emitted = (0 until rg.nV).flatMap(engine.runSeed)
+      val want = BruteForce.mfgLabels(g, p)
+      ((emitted.size == emitted.distinct.size) :| s"$p: duplicates in $emitted") &&
+        ((emitted.toSet == want) :| s"$p: got ${emitted.toSet}\nwant $want")
+    }, tests = 2000)
   }
 
   test("counting arrays return to zero state between seeds") {

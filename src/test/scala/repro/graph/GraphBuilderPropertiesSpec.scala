@@ -83,11 +83,12 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
       p <- for (tauU <- Gen.choose(1, 3); tauV <- Gen.choose(1, 3); lambda <- Gen.oneOf(1, 10, 30, 65))
            yield Params(tauU, tauV, lambda)
     } yield (seed, density, p)
-    val names = Enumerators.algorithmNames.filter(n => n.startsWith("FilterV") || n.startsWith("VFree"))
     check(forAll(genCase) { case (seed, density, p) =>
       val g = TestGraphs.random(5, 6, 70, density, seed)
       val want = BruteForce.mfgLabels(g, p)
-      val same = names.map(n => (Enumerators.run(n, g, p).results.get == want) :| s"$n at $p, seed $seed")
+      val same = Enumerators.algorithmNames.map { n =>
+        (Enumerators.run(n, g, p).results.get == want) :| s"$n at $p, seed $seed"
+      }
       Prop.all(((g.nT == 70) :| s"nT ${g.nT}") +: same: _*)
     }, tests = 40)
   }

@@ -32,6 +32,20 @@ object GraphGen {
     dup <- Gen.choose(0, m)
   } yield ((nU, nV, nT), es ++ es.take(dup))
 
+  /** `ids(120)` fed raw (duplicates included) to the builder, with the
+    * timestamps spread `gap` apart so |T| reaches 70 with most snapshots
+    * empty; ids of the box without an edge stay as isolated vertices.
+    */
+  val graphs: Gen[TemporalBipartiteGraph] = for {
+    idEdges <- ids(120)
+    gap <- Gen.choose(1, 14)
+  } yield {
+    val ((nU, nV, nT), es) = idEdges
+    def labels(n: Int) = Array.tabulate(n)(_.toLong)
+    TemporalBipartiteGraph.fromInternal(es.map(_._1).toArray, es.map(_._2).toArray, es.map(_._3 * gap).toArray,
+      labels(nU), labels(nV), labels(nT * gap))
+  }
+
   /** `ids(40)` as labelled edges; labels are spread out and partly negative. */
   val edges: Gen[Seq[(Long, Long, Long)]] =
     ids(40).map(_._2.map { case (u, v, t) => (7L * u - 10, -3L * v, 5L * t - 1000) })
