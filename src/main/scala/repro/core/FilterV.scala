@@ -36,6 +36,11 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
   private val checkFre = new Frequency.CheckFre(g)
   private val vsMember = new Array[Boolean](g.nV)
   private val vsStack = new Array[Int](math.max(1, g.nV)) // ascending branch ids
+  // Per-depth C_V* segments; the bottom nV entries are the root's candidates.
+  private var cvStack: Array[Int] = Array.range(0, g.nV)
+  // X_V: ids are distinct along a branch, so at most nV; each node resets to its mark.
+  private val xv = new Array[Int](math.max(1, g.nV))
+  private var xvLen = 0
   private val results = mutable.ArrayBuffer.empty[Array[Int]] // ascending ids
 
   /** Frequency of V_S ∪ {v}; V_S = vsStack[0, vsLen) (ascending, v larger). */
@@ -55,10 +60,9 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
   }
 
   /** Lemma 3.3 maximality: no x ∈ X_V extends V_S to a frequent group. */
-  private def maximalViaXv(us: Array[Int], vsLen: Int,
-                           tsBits: Array[Long], xv: mutable.ArrayBuffer[Int]): Boolean = {
+  private def maximalViaXv(us: Array[Int], vsLen: Int, tsBits: Array[Long]): Boolean = {
     var i = 0
-    while (i < xv.length) {
+    while (i < xvLen) {
       val x = xv(i)
       val prunedByRule = useCandFilter && !tb.andCountAtLeast(tsBits, tb.bits(x), p.lambda)
       if (!prunedByRule) {
@@ -76,25 +80,29 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
   private def recordCompared(vs: Array[Int]): Unit =
     if (!results.exists(r => SortedOps.subsetOf(vs, r))) results += vs
 
-  /** One node: V_S = vsStack[0, vsLen), candidates = cv[cvFrom, cv.length). */
-  private def enum(us: Array[Int], vsLen: Int, tsBits: Array[Long],
-                   cv: Array[Int], cvFrom: Int,
-                   xv: mutable.ArrayBuffer[Int]): Unit = {
+  /** One node: V_S = vsStack[0, vsLen), candidates = cvStack[cvFrom, cvEnd),
+    * the top segment; this node's C_V* goes directly above it.
+    */
+  private def enum(us: Array[Int], vsLen: Int, tsBits: Array[Long], cvFrom: Int, cvEnd: Int): Unit = {
     deadline.check()
     stats.nodes += 1
 
     // --- valid candidate set computation (timed as CM) -------------------
     val t0 = System.nanoTime()
-    val cvStarIds = mutable.ArrayBuffer.empty[Int]
+    if (2 * cvEnd - cvFrom > cvStack.length)
+      cvStack = java.util.Arrays.copyOf(cvStack, math.max(2 * cvEnd - cvFrom, 2 * cvStack.length))
+    val cv = cvStack // a child may replace `cvStack` when it grows; re-read after recursing
+    var nCv = 0
     val cvStarUs = mutable.ArrayBuffer.empty[Array[Int]]
     var i = cvFrom
-    while (i < cv.length) {
+    while (i < cvEnd) {
       val v = cv(i)
       val keep = !useCandFilter || tb.andCountAtLeast(tsBits, tb.bits(v), p.lambda)
       if (keep) {
         val usv = SortedOps.intersect(us, g.vAdj(v))
         if (usv.length >= p.tauU && extensionFrequent(usv, v, vsLen)) {
-          cvStarIds += v
+          cv(cvEnd + nCv) = v
+          nCv += 1
           cvStarUs += usv
         }
       }
@@ -102,12 +110,12 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
     }
     stats.cmNanos += System.nanoTime() - t0
 
-    if (us.length < p.tauU || vsLen + cvStarIds.length < p.tauV) return
+    if (us.length < p.tauU || vsLen + nCv < p.tauV) return
 
-    if (cvStarIds.isEmpty) {
+    if (nCv == 0) {
       val t1 = System.nanoTime()
       if (useArrayVerify) {
-        if (maximalViaXv(us, vsLen, tsBits, xv)) results += java.util.Arrays.copyOf(vsStack, vsLen)
+        if (maximalViaXv(us, vsLen, tsBits)) results += java.util.Arrays.copyOf(vsStack, vsLen)
       } else {
         recordCompared(java.util.Arrays.copyOf(vsStack, vsLen))
       }
@@ -115,27 +123,26 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
       return
     }
 
-    val cvChild = cvStarIds.toArray // ascending (cand order preserved)
-    val mark = xv.length
+    // C_V* = cvStack[cvEnd, cvEnd + nCv), ascending (candidate order preserved)
+    val mark = xvLen
     var j = 0
-    while (j < cvChild.length) {
-      val v = cvChild(j)
+    while (j < nCv) {
+      val v = cvStack(cvEnd + j)
       vsMember(v) = true
       vsStack(vsLen) = v
       val childBits = if (useCandFilter) tb.and(tsBits, tb.bits(v)) else null
-      enum(cvStarUs(j), vsLen + 1, childBits, cvChild, j + 1, xv)
+      enum(cvStarUs(j), vsLen + 1, childBits, cvEnd + j + 1, cvEnd + nCv)
       vsMember(v) = false
-      xv += v
+      xv(xvLen) = v
+      xvLen += 1
       j += 1
     }
-    xv.remove(mark, xv.length - mark)
+    xvLen = mark
   }
 
   /** Runs the enumeration; returns MFGs in original-label space. */
   def run(): Set[Set[Long]] = {
-    enum(Array.range(0, g.nU), 0,
-         if (useCandFilter) tb.full else null,
-         Array.range(0, g.nV), 0, mutable.ArrayBuffer.empty[Int])
+    enum(Array.range(0, g.nU), 0, if (useCandFilter) tb.full else null, 0, g.nV)
     results.iterator.map(_.map(g.vLabels).toSet).toSet
   }
 }

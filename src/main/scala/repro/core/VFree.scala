@@ -10,16 +10,33 @@ import scala.collection.mutable
   * only the inherited survived timestamps C_T and maintain the dynamic
   * counting structures
   *
-  *  - `cntU(t)(u)`  — m-neighbors of u inside V_S' at t (incrementally
-  *    inherited across the recursion: +1 on entry for Γ(v,t), -1 on exit);
+  *  - `cntU(t·nU + u)` — m-neighbors of u inside V_S' at t, one flat array
+  *    (incrementally inherited across the recursion: +1 on entry for
+  *    Γ(v,t), -1 on exit);
   *  - `cntVT(v')`   — m-neighbors of v' inside cand_U at the timestamp being
-  *    processed (the paper's `cnt_V[t][v']`; it is reset per timestamp via
-  *    `visit_V`, so one |V|-sized array reused per t is equivalent);
+  *    processed (the paper's `cnt_V[t][v']`; `visitV` stamps each v' with
+  *    the pass over t that last touched it, the paper's `visit_V`, so one
+  *    |V|-sized array reused per t is equivalent);
   *  - `cntT(v')`    — survived timestamps of V_S' ∪ {v'}.
   *
   * The valid candidate set falls out of `cntT` with no explicit frequency
   * verification, and maximality falls out of the ascending-id processing
   * order via the `notRepeat` flag (Theorem 4.1) with no result comparisons.
+  *
+  * A search node allocates nothing. cand_U and cand_V are shared arrays
+  * that a node fills and consumes before its first recursive call. C_T' and
+  * C_V* outlive that call, so each node keeps them as one segment of a
+  * growable `Int` stack above its parent's; the child reads its C_T from
+  * the parent's segment. V_S is an array indexed by depth.
+  *
+  * Memory: nT·nU + O(nU + nV) `Int`s, plus at most nT + depth·(nT + nV)
+  * stack entries. Depth: along a branch V_S is ascending and every subset
+  * of a frequent V_S is frequent (Lemma 2.2), so at τ_V ≤ 2 every ascending
+  * subset of a depth-d V_S that starts at the seed is a node of that seed:
+  * depth d costs at least 2^(d−1) nodes (the subsets keeping V_S's last
+  * τ_V − 1 vertices, 2^(d−τ_V), at larger τ_V). On a complete biclique the
+  * bound is met exactly. A frame holds only scalars, so search time bounds
+  * the depth long before the `-Xss64m` thread stack does.
   *
   * The caller is responsible for graph filtering (GFCore) and the
   * ascending-structural-degree ID reorder (`TemporalBipartiteGraph.relabelV`)
@@ -36,62 +53,71 @@ import scala.collection.mutable
 final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Serializable {
   val stats = new EnumStats
 
-  private val cntU = Array.ofDim[Int](g.nT, g.nU)
+  private val nU = g.nU
+  private val cntU = new Array[Int](g.nT * nU) // t·nU + u; the builder bounds nT·(nU+nV)
   private val cntVT = new Array[Int](g.nV)
   private val cntT = new Array[Int](g.nV)
   private val inVS = new Array[Boolean](g.nV)
-  private val visited = new Array[Boolean](g.nV)
+  private val visitV = new Array[Long](g.nV) // last timestamp pass that touched v'
+  private var pass = 0L // a Long count cannot wrap in any run, so visitV is never reset
+  // Filled and consumed by one node before its first recursive call.
+  private val candU = new Array[Int](nU)
+  private val candV = new Array[Int](g.nV)
+  private val vs = new Array[Int](g.nV) // V_S by depth, ascending
+  // Per-depth segments [C_T' | C_V*]; the bottom nT entries are the root's C_T.
+  private var stack: Array[Int] = Array.range(0, g.nT)
   private val results = mutable.ArrayBuffer.empty[Array[Int]] // ascending internal ids
 
-  private val allTs: Array[Int] = Array.range(0, g.nT)
-
-  /** One iteration of the `for v ∈ C_V` loop of VerifyFreeMFG: extends the
-    * current V_S (held in `vsList`, size `vsSize`) with `v`, using inherited
-    * survived timestamps `ct`.
+  /** One iteration of the `for v ∈ C_V` loop of VerifyFreeMFG: extends
+    * V_S = vs[0, depth) with `v`, using the inherited survived timestamps
+    * stack[ctOff, ctOff + ctLen); this node's segment starts at `base`.
     */
-  private def branch(v: Int, vsList: List[Int], vsSize: Int, ct: Array[Int]): Unit = {
+  private def branch(v: Int, depth: Int, ctOff: Int, ctLen: Int, base: Int): Unit = {
     deadline.check()
     stats.nodes += 1
     val t0 = System.nanoTime()
-    val vsSize2 = vsSize + 1
+    val vsSize2 = depth + 1
     inVS(v) = true
+    vs(depth) = v
+    if (base + ctLen + g.nV > stack.length)
+      stack = java.util.Arrays.copyOf(stack, math.max(base + ctLen + g.nV, 2 * stack.length))
+    val st = stack // a child may replace `stack` when it grows; re-read after recursing
 
-    val ctNew = mutable.ArrayBuffer.empty[Int]
-    val candV = mutable.ArrayBuffer.empty[Int]
-    val candU = mutable.ArrayBuffer.empty[Int]
-    val visitList = mutable.ArrayBuffer.empty[Int]
-
+    var nCt = 0
+    var nCandV = 0
     var ti = 0
-    while (ti < ct.length) {
-      val t = ct(ti)
+    while (ti < ctLen) {
+      val t = st(ctOff + ti)
+      val row = t * nU
       // Step 1: ascertain from U — common m-neighbors of V_S' at t.
-      candU.clear()
+      var nCandU = 0
       val gv = g.gammaV(t)(v)
       var i = 0
       while (i < gv.length) {
         val u = gv(i)
-        cntU(t)(u) += 1
-        if (cntU(t)(u) == vsSize2) candU += u
+        val c = cntU(row + u) + 1
+        cntU(row + u) = c
+        if (c == vsSize2) { candU(nCandU) = u; nCandU += 1 }
         i += 1
       }
       // Step 2: termination check — survived timestamp?
-      if (candU.length >= p.tauU) {
-        ctNew += t
+      if (nCandU >= p.tauU) {
+        st(base + nCt) = t
+        nCt += 1
         // Step 3: reverse-ascertain from V; Step 4: survived count update.
-        visitList.clear()
+        pass += 1
         var ci = 0
-        while (ci < candU.length) {
-          val u2 = candU(ci)
-          val gu = g.gammaU(t)(u2)
+        while (ci < nCandU) {
+          val gu = g.gammaU(t)(candU(ci))
           var j = 0
           while (j < gu.length) {
             val v2 = gu(j)
             if (!inVS(v2)) {
               val c =
-                if (!visited(v2)) { visited(v2) = true; visitList += v2; cntVT(v2) = 1; 1 }
+                if (visitV(v2) != pass) { visitV(v2) = pass; cntVT(v2) = 1; 1 }
                 else { cntVT(v2) += 1; cntVT(v2) }
               if (c == p.tauU) {
-                if (cntT(v2) == 0) candV += v2
+                if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
                 cntT(v2) += 1
               }
             }
@@ -99,48 +125,43 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
           }
           ci += 1
         }
-        var vi = 0
-        while (vi < visitList.length) { visited(visitList(vi)) = false; vi += 1 }
       }
       ti += 1
     }
 
     // Valid candidate set from cntT; notRepeat encodes implicit maximality.
     var notRepeat = true
-    val cvStar = mutable.ArrayBuffer.empty[Int]
+    val cvOff = base + nCt
+    var nCv = 0
     var k = 0
-    while (k < candV.length) {
+    while (k < nCandV) {
       val v2 = candV(k)
       if (cntT(v2) >= p.lambda) {
-        if (v2 < v) notRepeat = false else cvStar += v2
+        if (v2 < v) notRepeat = false else { st(cvOff + nCv) = v2; nCv += 1 }
       }
       cntT(v2) = 0
       k += 1
     }
-    val frequent = ctNew.length >= p.lambda
+    val frequent = nCt >= p.lambda
     stats.cmNanos += System.nanoTime() - t0
 
-    if (frequent && vsSize2 + cvStar.length >= p.tauV && cvStar.nonEmpty) {
-      val sorted = cvStar.toArray
-      java.util.Arrays.sort(sorted) // ensure ascending processing order
-      val ctArr = ctNew.toArray
+    if (frequent && vsSize2 + nCv >= p.tauV && nCv > 0) {
+      java.util.Arrays.sort(st, cvOff, cvOff + nCv) // ascending processing order
       var si = 0
-      while (si < sorted.length) { branch(sorted(si), v :: vsList, vsSize2, ctArr); si += 1 }
+      while (si < nCv) { branch(stack(cvOff + si), vsSize2, base, nCt, cvOff + nCv); si += 1 }
     }
-    if (frequent && cvStar.isEmpty && notRepeat && vsSize2 >= p.tauV) {
-      val r = (v :: vsList).toArray
-      java.util.Arrays.sort(r)
-      results += r
-    }
+    if (frequent && nCv == 0 && notRepeat && vsSize2 >= p.tauV)
+      results += java.util.Arrays.copyOf(vs, vsSize2)
 
     // Restore cntU so siblings/parents see the state for V_S alone.
     val t1 = System.nanoTime()
     var ri = 0
-    while (ri < ct.length) {
-      val t = ct(ri)
+    while (ri < ctLen) {
+      val t = stack(ctOff + ri)
+      val row = t * nU
       val gv = g.gammaV(t)(v)
       var i = 0
-      while (i < gv.length) { cntU(t)(gv(i)) -= 1; i += 1 }
+      while (i < gv.length) { cntU(row + gv(i)) -= 1; i += 1 }
       ri += 1
     }
     stats.cmNanos += System.nanoTime() - t1
@@ -165,7 +186,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     */
   def runSeed(seed: Int): Vector[Set[Long]] = {
     results.clear() // keep per-seed memory flat
-    branch(seed, Nil, 0, allTs)
+    branch(seed, 0, 0, g.nT, g.nT)
     results.iterator.map(_.map(g.vLabels).toSet).toVector
   }
 }

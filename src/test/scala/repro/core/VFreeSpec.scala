@@ -77,6 +77,24 @@ class VFreeSpec extends AnyFunSuite {
     }
   }
 
+  // Every subset of V is frequent, and every ascending extension is one node:
+  // the search tree is the full subset lattice, 2^n − 1 nodes, with depth n.
+  for (n <- Seq(4, 10, 16))
+    test(s"complete biclique K(3, $n) at 3 timestamps, (3, 2, 3): one group, 2^$n − 1 nodes") {
+      val g = TestGraphs.of((for (u <- 0 until 3; v <- 0 until n; t <- 0 until 3) yield (u, v, t)): _*)
+      val engine = new VFree(g, Params(3, 2, 3), Deadline.unlimited)
+      assert(engine.run() == Set((0 until n).map(_.toLong).toSet))
+      assert(engine.stats.nodes == (1L << n) - 1)
+    }
+
+  test("search tree pinned: random(30, 30, 8, 0.5, 4242), GFCore + reorder at (2, 2, 2)") {
+    val p = Params(2, 2, 2)
+    val g = Enumerators.reorderByDegree(GFCore(TestGraphs.random(30, 30, 8, 0.5, 4242), p))
+    val engine = new VFree(g, p, Deadline.unlimited)
+    assert(engine.run().size == 27007)
+    assert(engine.stats.nodes == 244790)
+  }
+
   test("stats.nodes counts one node per branch expansion") {
     val g = TestGraphs.planted
     val engine = new VFree(g, Params(2, 2, 3), Deadline.unlimited)
