@@ -35,7 +35,7 @@ final class BkAlg(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
     var i = from
     while (i < cv.length) {
       val v = cv(i)
-      val usv = SortedOps.intersect(us, g.vAdj(v))
+      val usv = SortedOps.intersect(us, g.vNbr, g.vOff(v), g.vOff(v + 1))
       if (usv.length >= p.tauU) {
         stats.freqChecks += 1
         val vs2 = java.util.Arrays.copyOf(vsStack, vsLen + 1)

@@ -66,7 +66,7 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
       val x = xv(i)
       val prunedByRule = useCandFilter && !tb.andCountAtLeast(tsBits, tb.bits(x), p.lambda)
       if (!prunedByRule) {
-        val usx = SortedOps.intersect(us, g.vAdj(x))
+        val usx = SortedOps.intersect(us, g.vNbr, g.vOff(x), g.vOff(x + 1))
         if (usx.length >= p.tauU && extensionFrequent(usx, x, vsLen)) return false
       }
       i += 1
@@ -99,7 +99,7 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
       val v = cv(i)
       val keep = !useCandFilter || tb.andCountAtLeast(tsBits, tb.bits(v), p.lambda)
       if (keep) {
-        val usv = SortedOps.intersect(us, g.vAdj(v))
+        val usv = SortedOps.intersect(us, g.vNbr, g.vOff(v), g.vOff(v + 1))
         if (usv.length >= p.tauU && extensionFrequent(usv, v, vsLen)) {
           cv(cvEnd + nCv) = v
           nCv += 1

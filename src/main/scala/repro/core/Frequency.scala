@@ -19,9 +19,12 @@ object Frequency {
     /** Sorted common m-neighbors ∩_{v∈vs} Γ(v, t). */
     def commonMNeighbors(g: TemporalBipartiteGraph, vs: Array[Int], t: Int): Array[Int] = {
       if (vs.isEmpty) return Array.range(0, g.nU)
-      var acc = g.gammaV(t)(vs(0))
+      var k = g.keyV(vs(0), t)
+      var acc = java.util.Arrays.copyOfRange(g.gVNbr, g.gVOff(k), g.gVOff(k + 1))
       var i = 1
-      while (i < vs.length && acc.nonEmpty) { acc = SortedOps.intersect(acc, g.gammaV(t)(vs(i))); i += 1 }
+      while (i < vs.length && acc.nonEmpty) {
+        k = g.keyV(vs(i), t); acc = SortedOps.intersect(acc, g.gVNbr, g.gVOff(k), g.gVOff(k + 1)); i += 1
+      }
       acc
     }
 
@@ -67,13 +70,11 @@ object Frequency {
       while (i < usLen) {
         val u = us(i)
         java.util.Arrays.fill(ra, 0)
-        val nbrs = g.uAdj(u)
-        val tss = g.uAdjTs(u)
-        var j = 0
-        while (j < nbrs.length) {
-          if (vsMember(nbrs(j))) {
-            val ts = tss(j); var k = 0
-            while (k < ts.length) { ra(ts(k)) += 1; k += 1 }
+        var j = g.uOff(u)
+        while (j < g.uOff(u + 1)) {
+          if (vsMember(g.uNbr(j))) {
+            var k = g.tsOff(j)
+            while (k < g.tsOff(j + 1)) { ra(g.ts(k)) += 1; k += 1 }
           }
           j += 1
         }

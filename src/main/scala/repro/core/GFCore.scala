@@ -9,13 +9,14 @@ import scala.collection.mutable
   * The cascade is the paper's CorePrune in O(|E|) over one flat `Int` table
   * `deg`: slot `t·(nU+nV) + w` holds the m-degree δ(w, t) of vertex `w`
   * (`w = u` for u ∈ U, `w = nU + v` for v ∈ V) and 0 once `w` is removed at
-  * `t`. A U slot needs δ ≥ τ_V, a V slot δ ≥ τ_U, and each v must stay
-  * present at ≥ λ timestamps (its survival counter `s(v)`). A violating
-  * slot is zeroed and pushed onto an `Int` stack of slots, so each slot is
-  * pushed at most once; popping it decrements its present neighbours at
-  * `t`. An edge `(u, v, t)` survives iff both its slots are non-zero.
+  * `t`; the initial δ are the graph's offset differences. A U slot needs
+  * δ ≥ τ_V, a V slot δ ≥ τ_U, and each v must stay present at ≥ λ
+  * timestamps (its survival counter `s(v)`). A violating slot is zeroed and
+  * pushed onto an `Int` stack of slots, so each slot is pushed at most once;
+  * popping it walks its Γ(w, t) slice and decrements the present
+  * neighbours. An edge `(u, v, t)` survives iff both its slots are non-zero.
   *
-  * Memory: the table's nT·(nU+nV) `Int`s (which the builder bounds by
+  * Memory: the table's nT·(nU+nV) `Int`s (which the builder keeps below
   * `Int.MaxValue`) plus a stack of at most 2·|E| slots.
   */
 object GFCore {
@@ -55,9 +56,9 @@ object GFCore {
   private def survivors(g: TemporalBipartiteGraph, p: Params): (Array[Int], Array[Int], Array[Int]) = {
     val deg = cascade(g, p); val n = g.nU + g.nV
     val us, vs, ts = new mutable.ArrayBuilder.ofInt
-    for (t <- 0 until g.nT; u <- 0 until g.nU if deg(t * n + u) > 0; v <- g.gammaU(t)(u)
-         if deg(t * n + g.nU + v) > 0) {
-      us += u; vs += v; ts += t
+    for (t <- 0 until g.nT; u <- 0 until g.nU if deg(t * n + u) > 0;
+         i <- g.gUOff(g.keyU(u, t)) until g.gUOff(g.keyU(u, t) + 1) if deg(t * n + g.nU + g.gUNbr(i)) > 0) {
+      us += u; vs += g.gUNbr(i); ts += t
     }
     (us.result(), vs.result(), ts.result())
   }
@@ -70,7 +71,7 @@ object GFCore {
     val s = new Array[Int](g.nV)
     var present = 0
     for (t <- 0 until nT; w <- 0 until n) {
-      val d = if (w < nU) g.gammaU(t)(w).length else g.gammaV(t)(w - nU).length
+      val d = if (w < nU) g.mDegU(w, t) else g.mDegV(w - nU, t)
       deg(t * n + w) = d
       if (d > 0) { present += 1; if (w >= nU) s(w - nU) += 1 }
     }
@@ -91,11 +92,12 @@ object GFCore {
       // w removed at t: its present m-neighbours lose one degree (lines 18-22).
       // One that would fall below τ is pruned instead, so no slot reaches 0
       // unpushed and every V removal reaches s (τ_U = 1).
-      val nb = if (w < nU) g.gammaU(t)(w) else g.gammaV(t)(w - nU)
-      val off = if (w < nU) row + nU else row
-      var i = 0
-      while (i < nb.length) {
-        val x = off + nb(i)
+      val (off, nbr) = if (w < nU) (g.gUOff, g.gUNbr) else (g.gVOff, g.gVNbr)
+      val k = if (w < nU) g.keyU(w, t) else g.keyV(w - nU, t)
+      val base = if (w < nU) row + nU else row
+      var i = off(k)
+      while (i < off(k + 1)) {
+        val x = base + nbr(i)
         if (deg(x) > tau(x - row)) deg(x) -= 1 else prune(x)
         i += 1
       }

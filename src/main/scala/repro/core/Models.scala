@@ -85,13 +85,15 @@ object Models {
       }
       var v = next + 1
       while (v < g.nV) {
-        val cts2 = Array.tabulate(g.nT)(t => SortedOps.intersect(cts(t), g.gammaV(t)(v)))
+        val cts2 = Array.tabulate(g.nT) { t =>
+          SortedOps.intersect(cts(t), g.gVNbr, g.gVOff(g.keyV(v, t)), g.gVOff(g.keyV(v, t) + 1))
+        }
         rec(vs :+ v, cts2, v)
         v += 1
       }
     }
 
-    rec(Vector.empty, Array.tabulate(g.nT)(t => Array.range(0, g.nU).filter(u => g.gammaU(t)(u).nonEmpty)), -1)
+    rec(Vector.empty, Array.tabulate(g.nT)(t => Array.range(0, g.nU).filter(g.mDegU(_, t) > 0)), -1)
 
     // componentwise dominance filter for pair maximality
     val all = collected.toVector

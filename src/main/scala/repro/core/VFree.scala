@@ -11,8 +11,8 @@ import scala.collection.mutable
   * counting structures
   *
   *  - `cntU(t·nU + u)` — m-neighbors of u inside V_S' at t, one flat array
-  *    (incrementally inherited across the recursion: +1 on entry for
-  *    Γ(v,t), -1 on exit);
+  *    keyed like Γ(u, t) (incrementally inherited across the recursion: +1
+  *    on entry for Γ(v,t), -1 on exit);
   *  - `cntVT(v')`   — m-neighbors of v' inside cand_U at the timestamp being
   *    processed (the paper's `cnt_V[t][v']`; `visitV` stamps each v' with
   *    the pass over t that last touched it, the paper's `visit_V`, so one
@@ -39,8 +39,9 @@ import scala.collection.mutable
   * the depth long before the `-Xss64m` thread stack does.
   *
   * The caller is responsible for graph filtering (GFCore) and the
-  * ascending-structural-degree ID reorder (`TemporalBipartiteGraph.relabelV`)
-  * — see [[Enumerators.vFree]]. Root branches are independent, so the one
+  * ascending-structural-degree ID reorder ([[Enumerators.reorderByDegree]],
+  * which maps V through `TemporalBipartiteGraph.relabelV`) — see
+  * [[Enumerators.vFree]]. Root branches are independent, so the one
   * search entry is [[runSeed]]: [[run]] fans out over every seed in this JVM
   * (checking that no group is emitted twice), [[repro.spark.DistributedMfg]]
   * over a Spark Dataset.
@@ -54,7 +55,9 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   val stats = new EnumStats
 
   private val nU = g.nU
-  private val cntU = new Array[Int](g.nT * nU) // t·nU + u; the builder bounds nT·(nU+nV)
+  private val gUOff = g.gUOff; private val gUNbr = g.gUNbr
+  private val gVOff = g.gVOff; private val gVNbr = g.gVNbr
+  private val cntU = new Array[Int](g.nT * nU) // keyed as Γ(u, t); the builder bounds nT·(nU+nV)
   private val cntVT = new Array[Int](g.nV)
   private val cntT = new Array[Int](g.nV)
   private val inVS = new Array[Boolean](g.nV)
@@ -88,13 +91,13 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     var ti = 0
     while (ti < ctLen) {
       val t = st(ctOff + ti)
-      val row = t * nU
+      val row = g.keyU(0, t) // Γ(u, t) and cntU are keyed row + u
       // Step 1: ascertain from U — common m-neighbors of V_S' at t.
       var nCandU = 0
-      val gv = g.gammaV(t)(v)
-      var i = 0
-      while (i < gv.length) {
-        val u = gv(i)
+      var i = gVOff(g.keyV(v, t))
+      val end = gVOff(g.keyV(v, t) + 1)
+      while (i < end) {
+        val u = gVNbr(i)
         val c = cntU(row + u) + 1
         cntU(row + u) = c
         if (c == vsSize2) { candU(nCandU) = u; nCandU += 1 }
@@ -108,10 +111,10 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
         pass += 1
         var ci = 0
         while (ci < nCandU) {
-          val gu = g.gammaU(t)(candU(ci))
-          var j = 0
-          while (j < gu.length) {
-            val v2 = gu(j)
+          var j = gUOff(row + candU(ci))
+          val end = gUOff(row + candU(ci) + 1)
+          while (j < end) {
+            val v2 = gUNbr(j)
             if (!inVS(v2)) {
               val c =
                 if (visitV(v2) != pass) { visitV(v2) = pass; cntVT(v2) = 1; 1 }
@@ -158,10 +161,10 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     var ri = 0
     while (ri < ctLen) {
       val t = stack(ctOff + ri)
-      val row = t * nU
-      val gv = g.gammaV(t)(v)
-      var i = 0
-      while (i < gv.length) { cntU(row + gv(i)) -= 1; i += 1 }
+      val row = g.keyU(0, t)
+      var i = gVOff(g.keyV(v, t))
+      val end = gVOff(g.keyV(v, t) + 1)
+      while (i < end) { cntU(row + gVNbr(i)) -= 1; i += 1 }
       ri += 1
     }
     stats.cmNanos += System.nanoTime() - t1

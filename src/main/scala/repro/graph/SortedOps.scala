@@ -3,27 +3,18 @@ package repro.graph
 /** Merge-walk primitives over sorted int arrays (the adjacency encoding). */
 object SortedOps {
 
-  /** Intersection of two ascending-sorted arrays, result sorted. */
-  def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
-    val out = new Array[Int](math.min(a.length, b.length))
-    var i = 0; var j = 0; var k = 0
-    while (i < a.length && j < b.length) {
+  /** Intersection of ascending `a` with the ascending range `b[from, until)`
+    * (a graph list), result sorted.
+    */
+  def intersect(a: Array[Int], b: Array[Int], from: Int, until: Int): Array[Int] = {
+    val out = new Array[Int](math.min(a.length, until - from))
+    var i = 0; var j = from; var k = 0
+    while (i < a.length && j < until) {
       if (a(i) < b(j)) i += 1
       else if (a(i) > b(j)) j += 1
       else { out(k) = a(i); k += 1; i += 1; j += 1 }
     }
     java.util.Arrays.copyOf(out, k)
-  }
-
-  /** |a ∩ b| for ascending-sorted arrays. */
-  def intersectSize(a: Array[Int], b: Array[Int]): Int = {
-    var i = 0; var j = 0; var k = 0
-    while (i < a.length && j < b.length) {
-      if (a(i) < b(j)) i += 1
-      else if (a(i) > b(j)) j += 1
-      else { k += 1; i += 1; j += 1 }
-    }
-    k
   }
 
   /** true iff sorted `a` ⊆ sorted `b`. */

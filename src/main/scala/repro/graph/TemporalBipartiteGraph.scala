@@ -2,8 +2,6 @@ package repro.graph
 
 import org.apache.spark.sql.DataFrame
 
-import scala.collection.mutable
-
 /** Compact in-memory temporal bipartite graph `G = (U, V, E)`.
   *
   * Vertices have dense internal ids `0 until nU` / `0 until nV` and
@@ -12,26 +10,32 @@ import scala.collection.mutable
   * from labels ([[TemporalBipartiteGraph.fromEdges]], `fromDF`) numbers
   * each side in ascending label order.
   *
-  * Three views are materialised, all needed by the paper's algorithms:
+  * Every adjacency list the paper's algorithms read is a slice
+  * `nbr(off(k) until off(k + 1))` of one flat CSR view, ascending:
   *
-  *  - static CSR with per-edge timestamp lists (`uAdj`/`uAdjTs`) — drives
-  *    `N(·,G)` intersections and CheckFRE (Algorithm 3), which iterates
-  *    `T_{(u,v)}` per static edge;
-  *  - the reverse static adjacency `vAdj` (structural degrees of V);
-  *  - per-snapshot adjacency (`gammaU(t)(u)`, `gammaV(t)(v)`) — drives the
-  *    m-neighbor scans of GFCore (Algorithm 2) and VFree (Algorithm 4).
+  *  - static `u → V` (`uOff`/`uNbr`, key u) with, per static edge `i`, its
+  *    timestamps T(u, v) (`tsOff`/`ts`, key i): `N(u)` and CheckFRE
+  *    (Algorithm 3);
+  *  - static `v → U` (`vOff`/`vNbr`, key v): `N(v)` in FilterV and BK-ALG;
+  *  - per-snapshot Γ(u, t) (`gUOff`/`gUNbr`, key [[keyU]] = t·nU + u) and
+  *    Γ(v, t) (`gVOff`/`gVNbr`, key [[keyV]] = t·nV + v): the m-neighbour
+  *    scans of GFCore (Algorithm 2) and VFree (Algorithm 4).
+  *
+  * Degrees are offset differences. Size in `Int`s: nT·(nU+nV) + nU + nV +
+  * 3·|E_static| + 3·|E| + O(1), plus the labels.
   *
   * Every graph comes from one builder, `fromInternal`, over packed `Int` id
-  * columns: a stable LSD counting sort orders the edges by `(u, v, t)`,
-  * adjacent duplicates are dropped, and all views are filled from that one
-  * ordering. Derived graphs map the id columns and build again: `relabelV`
-  * permutes V, `collapseStatic` zeroes `t`, and GFCore's compaction drops
-  * ids without a surviving edge while keeping the survivors' relative order
-  * (so a graph numbered in label order stays in label order).
+  * columns: one stable counting sort orders the edges by `(u, v, t)`,
+  * adjacent duplicates are dropped, and the same sort then fills each view
+  * and its offsets from that ordering. Derived graphs map the id columns and
+  * build again: `relabelV` permutes V, `collapseStatic` zeroes `t`, and
+  * GFCore's compaction drops ids without a surviving edge while keeping the
+  * survivors' relative order (so a graph numbered in label order stays in
+  * label order).
   *
-  * Size bound: nT·(nU + nV) ≤ `Int.MaxValue`, checked by the builder, so a
-  * per-snapshot vertex table indexed `t·(nU + nV) + w` (GFCore's) has `Int`
-  * indices.
+  * Size bound: nT·(nU + nV) < `Int.MaxValue`, checked by the builder, so
+  * the per-snapshot offsets and a per-snapshot vertex table indexed
+  * `t·(nU + nV) + w` (GFCore's) have `Int` sizes and indices.
   *
   * The class is immutable and `Serializable` so it can be broadcast to
   * executors for the distributed enumeration.
@@ -40,16 +44,11 @@ final class TemporalBipartiteGraph private (
     val nU: Int,
     val nV: Int,
     val nT: Int,
-    /** u -> sorted distinct static neighbours in V. */
-    val uAdj: Array[Array[Int]],
-    /** u -> per-static-edge sorted timestamp list (parallel to `uAdj`). */
-    val uAdjTs: Array[Array[Array[Int]]],
-    /** v -> sorted distinct static neighbours in U. */
-    val vAdj: Array[Array[Int]],
-    /** t -> u -> sorted m-neighbours Γ(u,t) ⊆ V. */
-    val gammaU: Array[Array[Array[Int]]],
-    /** t -> v -> sorted m-neighbours Γ(v,t) ⊆ U. */
-    val gammaV: Array[Array[Array[Int]]],
+    val uOff: Array[Int], val uNbr: Array[Int],
+    val tsOff: Array[Int], val ts: Array[Int],
+    val vOff: Array[Int], val vNbr: Array[Int],
+    val gUOff: Array[Int], val gUNbr: Array[Int],
+    val gVOff: Array[Int], val gVNbr: Array[Int],
     /** internal u id -> original label. */
     val uLabels: Array[Long],
     /** internal v id -> original label. */
@@ -59,32 +58,36 @@ final class TemporalBipartiteGraph private (
 ) extends Serializable {
 
   /** Number of distinct temporal edges `(u, v, t)`. */
-  val temporalEdgeCount: Long = {
-    var s = 0L; var u = 0
-    while (u < nU) { val ts = uAdjTs(u); var i = 0; while (i < ts.length) { s += ts(i).length; i += 1 }; u += 1 }
-    s
-  }
+  def temporalEdgeCount: Long = ts.length
 
   /** Number of distinct static edges `(u, v)`. */
-  val staticEdgeCount: Long = { var s = 0L; var u = 0; while (u < nU) { s += uAdj(u).length; u += 1 }; s }
+  def staticEdgeCount: Long = uNbr.length
+
+  /** Key of Γ(u, t) in `gUOff`. */
+  def keyU(u: Int, t: Int): Int = t * nU + u
+
+  /** Key of Γ(v, t) in `gVOff`. */
+  def keyV(v: Int, t: Int): Int = t * nV + v
 
   /** Structural degree d(v, G) for v ∈ V. */
-  def sDegV(v: Int): Int = vAdj(v).length
+  def sDegV(v: Int): Int = vOff(v + 1) - vOff(v)
 
   /** Structural degree d(u, G) for u ∈ U. */
-  def sDegU(u: Int): Int = uAdj(u).length
+  def sDegU(u: Int): Int = uOff(u + 1) - uOff(u)
 
   /** Momentary degree δ(v, t) for v ∈ V. */
-  def mDegV(v: Int, t: Int): Int = gammaV(t)(v).length
+  def mDegV(v: Int, t: Int): Int = gVOff(keyV(v, t) + 1) - gVOff(keyV(v, t))
 
   /** Momentary degree δ(u, t) for u ∈ U. */
-  def mDegU(u: Int, t: Int): Int = gammaU(t)(u).length
+  def mDegU(u: Int, t: Int): Int = gUOff(keyU(u, t) + 1) - gUOff(keyU(u, t))
 
   /** All temporal edges as packed id columns `(us, vs, ts)`, in `(u, v, t)` order. */
   private def columns: (Array[Int], Array[Int], Array[Int]) = {
-    val us, vs, ts = new mutable.ArrayBuilder.ofInt
-    for (u <- 0 until nU; i <- uAdj(u).indices; t <- uAdjTs(u)(i)) { us += u; vs += uAdj(u)(i); ts += t }
-    (us.result(), vs.result(), ts.result())
+    val us, vs = new Array[Int](ts.length)
+    for (u <- 0 until nU; i <- uOff(u) until uOff(u + 1); e <- tsOff(i) until tsOff(i + 1)) {
+      us(e) = u; vs(e) = uNbr(i)
+    }
+    (us, vs, ts) // the graph's own `ts`: every caller only reads the columns
   }
 
   /** All temporal edges as internal-id triples (u, v, t), in that order. */
@@ -151,39 +154,29 @@ object TemporalBipartiteGraph {
     s.indices.collect { case i if i == 0 || s(i - 1) != s(i) => s(i) }.toArray
   }
 
-  /** Stable counting sort of the edge indices `idx` by `key(e)` ∈ `[0, n)`. */
-  private def countingSort(idx: Array[Int], key: Array[Int], n: Int): Array[Int] = {
-    val next = new Array[Int](n + 1)
-    idx.foreach(e => next(key(e) + 1) += 1)
-    for (k <- 0 until n) next(k + 1) += next(k)
-    val out = new Array[Int](idx.length)
-    idx.foreach { e => out(next(key(e))) = e; next(key(e)) += 1 }
-    out
-  }
-
-  /** For each key in `[0, n)`, the `value(i)` of every `i < m` with that
-    * `key(i)`, in order of `i`.
+  /** Stable counting sort of `idx` by `key(e)` ∈ `[0, n)`: the sorted
+    * indices and the n + 1 bucket offsets (bucket k is `[off(k), off(k + 1))`).
     */
-  private def group(n: Int, m: Int)(key: Int => Int, value: Int => Int): Array[Array[Int]] = {
-    val len = new Array[Int](n)
-    for (i <- 0 until m) len(key(i)) += 1
-    val out = len.map(k => if (k == 0) Array.emptyIntArray else new Array[Int](k))
-    java.util.Arrays.fill(len, 0)
-    for (i <- 0 until m) { val k = key(i); out(k)(len(k)) = value(i); len(k) += 1 }
-    out
+  private[repro] def countingSort(idx: Array[Int], n: Int)(key: Int => Int): (Array[Int], Array[Int]) = {
+    val off = new Array[Int](n + 1); val out = new Array[Int](idx.length)
+    for (i <- idx.indices) off(key(idx(i)) + 1) += 1
+    for (k <- 0 until n) off(k + 1) += off(k)
+    val next = java.util.Arrays.copyOf(off, n)
+    for (i <- idx.indices) { val k = key(idx(i)); out(next(k)) = idx(i); next(k) += 1 }
+    (out, off)
   }
 
   /** The one builder. Edge `e` is `(us(e), vs(e), ts(e))` in internal ids;
     * the label arrays fix `nU`/`nV`/`nT`, so isolated vertices and empty
     * timestamps are allowed. Duplicate edges are dropped; the columns are
-    * only read. O(|E| + nT·(nU + nV)). Rejects nT·(nU + nV) > `Int.MaxValue`.
+    * only read. O(|E| + nT·(nU + nV)). Rejects nT·(nU + nV) ≥ `Int.MaxValue`.
     */
   private[repro] def fromInternal(us: Array[Int], vs: Array[Int], ts: Array[Int],
                                   uLabels: Array[Long], vLabels: Array[Long],
                                   tLabels: Array[Long]): TemporalBipartiteGraph = {
     val nU = uLabels.length; val nV = vLabels.length; val nT = tLabels.length
-    require(nT.toLong * (nU.toLong + nV) <= Int.MaxValue,
-      s"graph too large: nT·(nU+nV) = ${nT}·(${nU}+${nV}) exceeds Int.MaxValue = ${Int.MaxValue}")
+    require(nT.toLong * (nU.toLong + nV) < Int.MaxValue,
+      s"graph too large: nT·(nU+nV) = ${nT}·(${nU}+${nV}) must be below Int.MaxValue = ${Int.MaxValue}")
     require(vs.length == us.length && ts.length == us.length, "id columns differ in length")
     for (e <- us.indices)
       require(us(e) >= 0 && us(e) < nU && vs(e) >= 0 && vs(e) < nV && ts(e) >= 0 && ts(e) < nT,
@@ -192,29 +185,33 @@ object TemporalBipartiteGraph {
     // (u, v, t) order, least significant key first. Keep the first edge of
     // each run of equal triples (`te`, with its static edge `sOf`) and the
     // first of each run of equal (u, v) (`se`, the static edges).
-    val ord = countingSort(countingSort(countingSort(us.indices.toArray, ts, nT), vs, nV), us, nU)
-    val teB = new mutable.ArrayBuilder.ofInt; val sOfB = new mutable.ArrayBuilder.ofInt
-    val seB = new mutable.ArrayBuilder.ofInt
-    var p = -1
-    for (e <- ord) {
+    val byT = countingSort(Array.range(0, us.length), nT)(ts(_))._1
+    val ord = countingSort(countingSort(byT, nV)(vs(_))._1, nU)(us(_))._1
+    val te, sOf, se = new Array[Int](ord.length)
+    var nTe, nSe = 0; var p = -1
+    for (i <- ord.indices) {
+      val e = ord(i)
       val newStatic = p < 0 || us(p) != us(e) || vs(p) != vs(e)
-      if (newStatic) seB += e
-      if (newStatic || ts(p) != ts(e)) { teB += e; sOfB += seB.length - 1 }
+      if (newStatic) { se(nSe) = e; nSe += 1 }
+      if (newStatic || ts(p) != ts(e)) { te(nTe) = e; sOf(nTe) = nSe - 1; nTe += 1 }
       p = e
     }
-    val (te, sOf, se) = (teB.result(), sOfB.result(), seB.result())
 
-    // every list is filled in (u, v, t) order, so each comes out ascending
-    val uAdj = group(nU, se.length)(i => us(se(i)), i => vs(se(i)))
-    val vAdj = group(nV, se.length)(i => vs(se(i)), i => us(se(i)))
-    val tsOfStatic = group(se.length, te.length)(sOf(_), i => ts(te(i)))
-    var off = 0
-    val uAdjTs = uAdj.map { a => off += a.length; tsOfStatic.slice(off - a.length, off) }
-    def snapshots(n: Int, side: Array[Int], other: Array[Int]): Array[Array[Array[Int]]] = {
-      val flat = group(nT * n, te.length)(i => ts(te(i)) * n + side(te(i)), i => other(te(i)))
-      Array.tabulate(nT)(t => flat.slice(t * n, (t + 1) * n))
+    // Each view sorts the kept edges, already in (u, v, t) order, by its
+    // key; the sort is stable, so every list comes out ascending.
+    def view(m: Int, n: Int)(key: Int => Int, value: Int => Int): (Array[Int], Array[Int]) = {
+      val (nbr, off) = countingSort(Array.range(0, m), n)(key) // kept-edge indices, then their values
+      for (i <- 0 until m) nbr(i) = value(nbr(i))
+      (off, nbr)
     }
-    new TemporalBipartiteGraph(nU, nV, nT, uAdj, uAdjTs, vAdj, snapshots(nU, us, vs), snapshots(nV, vs, us),
+    val (uOff, uNbr) = view(nSe, nU)(i => us(se(i)), i => vs(se(i)))
+    val (tsOff, tsOf) = view(nTe, nSe)(sOf(_), i => ts(te(i)))
+    val (vOff, vNbr) = view(nSe, nV)(i => vs(se(i)), i => us(se(i)))
+    def snapshots(n: Int, side: Array[Int], other: Array[Int]) = // keyed t·n + w, as keyU and keyV
+      view(nTe, nT * n)(i => ts(te(i)) * n + side(te(i)), i => other(te(i)))
+    val (gUOff, gUNbr) = snapshots(nU, us, vs)
+    val (gVOff, gVNbr) = snapshots(nV, vs, us)
+    new TemporalBipartiteGraph(nU, nV, nT, uOff, uNbr, tsOff, tsOf, vOff, vNbr, gUOff, gUNbr, gVOff, gVNbr,
       uLabels, vLabels, tLabels)
   }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.TemporalBipartiteGraph
+import repro.graph.{GraphFields, TemporalBipartiteGraph}
 
 import scala.collection.mutable
 
@@ -18,13 +18,14 @@ object BruteForce {
   /** All frequent sets (any size ≥ 1), in internal-id space. */
   def allFrequentSets(g: TemporalBipartiteGraph, p: Params): Vector[Vector[Int]] = {
     val out = Vector.newBuilder[Vector[Int]]
+    val gammaV = GraphFields(g).gammaV
 
     def freq(vs: Vector[Int]): Int = {
       var count = 0
       var t = 0
       while (t < g.nT) {
         // common m-neighbor count of vs at t, recomputed naively via sets
-        val common = vs.foldLeft(Set.range(0, g.nU)) { (acc, v) => acc.intersect(g.gammaV(t)(v).toSet) }
+        val common = vs.foldLeft(Set.range(0, g.nU)) { (acc, v) => acc.intersect(gammaV(t)(v).toSet) }
         if (common.size >= p.tauU) count += 1
         t += 1
       }
@@ -72,9 +73,10 @@ object BruteForce {
     val vs = labels.map(byLabel)
     var count = 0
     val all = mutable.BitSet(0 until g.nU: _*)
+    val gammaV = GraphFields(g).gammaV
     var t = 0
     while (t < g.nT) {
-      val common = vs.foldLeft(all.toSet) { (acc, v) => acc.intersect(g.gammaV(t)(v).toSet) }
+      val common = vs.foldLeft(all.toSet) { (acc, v) => acc.intersect(gammaV(t)(v).toSet) }
       if (common.size >= tauU) count += 1
       t += 1
     }

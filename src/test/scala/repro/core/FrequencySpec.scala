@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
-import repro.graph.SortedOps
+import repro.graph.{GraphFields, SortedOps}
 
 class FrequencySpec extends AnyFunSuite {
 
@@ -34,7 +34,8 @@ class FrequencySpec extends AnyFunSuite {
     val g = TestGraphs.tiny
     val cf = new Frequency.CheckFre(g)
     val member = Array(true, true, false)
-    val us = SortedOps.intersect(g.vAdj(0), g.vAdj(1))
+    val vAdj = GraphFields(g).vAdj.map(_.toArray)
+    val us = SortedOps.intersect(vAdj(0), vAdj(1), 0, vAdj(1).length)
     assert(cf.frequent(us, us.length, member, 2, 2, 3))     // {v0,v1} frequent at λ=3
     assert(!cf.frequent(us, us.length, member, 2, 3, 3))    // τ_U=3 kills t=2
   }
@@ -45,13 +46,14 @@ class FrequencySpec extends AnyFunSuite {
   } {
     test(s"CheckFre ≡ NaiveFreq on random graphs (seed $seed, tauU=$tauU)") {
       val g = TestGraphs.random(6, 7, 5, 0.35, seed)
+      val vAdj = GraphFields(g).vAdj.map(_.toArray)
       val cf = new Frequency.CheckFre(g)
       val rng = new scala.util.Random(seed * 31 + 1)
       for (_ <- 0 until 8) {
         val size = 1 + rng.nextInt(3)
         val vs = rng.shuffle((0 until g.nV).toList).take(size).toArray.sorted
         val member = Array.tabulate(g.nV)(vs.contains)
-        val us = vs.map(g.vAdj).reduce(SortedOps.intersect)
+        val us = vs.map(vAdj).reduce((a, b) => SortedOps.intersect(a, b, 0, b.length))
         for (lambda <- 1 to 4) {
           val expected = naiveFrequency(g, vs, tauU) >= lambda
           val got = cf.frequent(us, us.length, member, vs.length, tauU, lambda)

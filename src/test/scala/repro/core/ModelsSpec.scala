@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
+import repro.graph.GraphFields
 
 class ModelsSpec extends AnyFunSuite {
 
@@ -54,25 +55,26 @@ class ModelsSpec extends AnyFunSuite {
       val g = TestGraphs.random(5, 5, 4, 0.55, seed + 800)
       val p = Params(2, 2, 2)
       val res = Models.mfb(g, p).get
+      val gammaV = GraphFields(g).gammaV
       for (b <- res) {
         val vIdx = b.vs.map(l => g.vLabels.indexOf(l)).toArray.sorted
         val uIdx = b.us.map(l => g.uLabels.indexOf(l)).toArray.sorted
         // frequency: #timestamps where the full biclique is present
         val freq = (0 until g.nT).count { t =>
-          vIdx.forall(v => uIdx.forall(u => g.gammaV(t)(v).contains(u)))
+          vIdx.forall(v => uIdx.forall(u => gammaV(t)(v).contains(u)))
         }
         assert(freq >= p.lambda, s"biclique $b infrequent")
         assert(b.us.size >= p.tauU && b.vs.size >= p.tauV)
         // no single-vertex extension on either side stays frequent
         for (v2 <- 0 until g.nV if !vIdx.contains(v2)) {
           val f2 = (0 until g.nT).count { t =>
-            (vIdx :+ v2).forall(v => uIdx.forall(u => g.gammaV(t)(v).contains(u)))
+            (vIdx :+ v2).forall(v => uIdx.forall(u => gammaV(t)(v).contains(u)))
           }
           assert(f2 < p.lambda, s"extension v$v2 keeps $b frequent")
         }
         for (u2 <- 0 until g.nU if !uIdx.contains(u2)) {
           val f2 = (0 until g.nT).count { t =>
-            vIdx.forall(v => (uIdx :+ u2).forall(u => g.gammaV(t)(v).contains(u)))
+            vIdx.forall(v => (uIdx :+ u2).forall(u => gammaV(t)(v).contains(u)))
           }
           assert(f2 < p.lambda, s"extension u$u2 keeps $b frequent")
         }

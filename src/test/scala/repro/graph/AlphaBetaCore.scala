@@ -17,7 +17,7 @@ object AlphaBetaCore {
     */
   def snapshot(g: TemporalBipartiteGraph, t: Int, alpha: Int, beta: Int,
                uAlive: Array[Boolean], vAlive: Array[Boolean]): (Array[Boolean], Array[Boolean]) = {
-    val gu = g.gammaU(t); val gv = g.gammaV(t)
+    val f = GraphFields(g); val gu = f.gammaU(t); val gv = f.gammaV(t)
     val uIn = new Array[Boolean](g.nU)
     val vIn = new Array[Boolean](g.nV)
     val uDeg = new Array[Int](g.nU)

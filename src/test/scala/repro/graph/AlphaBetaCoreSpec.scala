@@ -9,13 +9,14 @@ class AlphaBetaCoreSpec extends AnyFunSuite {
   /** Reference greatest fixpoint by repeated full rescan (obviously correct). */
   private def reference(g: TemporalBipartiteGraph, t: Int, alpha: Int, beta: Int,
                         uAlive: Array[Boolean], vAlive: Array[Boolean]): (Set[Int], Set[Int]) = {
-    var us = (0 until g.nU).filter(u => uAlive(u) && g.gammaU(t)(u).exists(vAlive)).toSet
-    var vs = (0 until g.nV).filter(v => vAlive(v) && g.gammaV(t)(v).nonEmpty).toSet
+    val f = GraphFields(g); val gu = f.gammaU(t); val gv = f.gammaV(t)
+    var us = (0 until g.nU).filter(u => uAlive(u) && gu(u).exists(vAlive)).toSet
+    var vs = (0 until g.nV).filter(v => vAlive(v) && gv(v).nonEmpty).toSet
     var changed = true
     while (changed) {
       changed = false
-      val us2 = us.filter(u => g.gammaU(t)(u).count(vs) >= alpha)
-      val vs2 = vs.filter(v => g.gammaV(t)(v).count(us2) >= beta)
+      val us2 = us.filter(u => gu(u).count(vs) >= alpha)
+      val vs2 = vs.filter(v => gv(v).count(us2) >= beta)
       if (us2 != us || vs2 != vs) { us = us2; vs = vs2; changed = true }
     }
     (us, vs)

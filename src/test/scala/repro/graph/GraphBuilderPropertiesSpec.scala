@@ -9,10 +9,11 @@ import repro.core.{BruteForce, Enumerators, GFCore, Params}
 import repro.graph.GraphGen.{check, edges => genEdges}
 
 /** ScalaCheck properties of the one graph builder and of every graph
-  * derived through it (GFCore's compaction, `relabelV`, `collapseStatic`),
-  * on generated small graphs with duplicate edges, negative labels and
-  * empty edge sets; plus the edge cases an empty graph, a filter that
-  * removes everything and `|T| = 70` (two `TBits` words).
+  * derived through it (GFCore's compaction, `relabelV`, `reorderByDegree`,
+  * `collapseStatic`), on generated small graphs with duplicate edges,
+  * negative labels and empty edge sets; Java serialisation of a built
+  * graph; plus the edge cases an empty graph, a filter that removes
+  * everything and `|T| = 70` (two `TBits` words).
   */
 class GraphBuilderPropertiesSpec extends AnyFunSuite {
 
@@ -52,6 +53,14 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
     })
   }
 
+  test("reorderByDegree ≡ relabelV by the (structural degree, id) sort") {
+    check(forAll(GraphGen.graphs) { g =>
+      val want = GraphFields(g.relabelV(Array.range(0, g.nV).sortBy(v => (g.sDegV(v), v))))
+      val got = GraphFields(Enumerators.reorderByDegree(g))
+      (got == want) :| s"got $got\nwant $want"
+    })
+  }
+
   test("collapseStatic ≡ fromEdges of (u, v, 0)") {
     // an empty graph collapses onto one (empty) timestamp, so only non-empty inputs compare
     check(forAll(genEdges.suchThat(_.nonEmpty)) { es =>
@@ -59,6 +68,24 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
       val want = GraphFields(TemporalBipartiteGraph.fromEdges(es.map { case (u, v, _) => (u, v, 0L) }))
       (got == want) :| s"got $got\nwant $want"
     })
+  }
+
+  /** Java serialisation (what a Spark broadcast does) there and back. */
+  private def roundTrip(g: TemporalBipartiteGraph): TemporalBipartiteGraph = {
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(g); out.close()
+    val in = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+    in.readObject().asInstanceOf[TemporalBipartiteGraph]
+  }
+
+  test("a graph survives Java serialisation, field by field") {
+    check(forAll(GraphGen.graphs) { g =>
+      val back = GraphFields(roundTrip(g))
+      (back == GraphFields(g)) :| s"got $back\nwant ${GraphFields(g)}"
+    })
+    val empty = TemporalBipartiteGraph.fromEdges(Nil)
+    assert(GraphFields(roundTrip(empty)) == GraphFields(empty))
   }
 
   test("empty edge set: a 0×0×0 graph on which every enumerator returns ∅") {

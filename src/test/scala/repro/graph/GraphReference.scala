@@ -1,8 +1,8 @@
 package repro.graph
 
-/** Every field of a [[TemporalBipartiteGraph]] as plain immutable
+/** Every view of a [[TemporalBipartiteGraph]] re-nested as plain immutable
   * collections, so two graphs (or a graph and [[GraphReference.of]]) compare
-  * field by field with `==`.
+  * field by field with `==`, and tests can read a list as `gammaV(t)(v)`.
   */
 final case class GraphFields(
     nU: Int, nV: Int, nT: Int,
@@ -12,10 +12,13 @@ final case class GraphFields(
 
 object GraphFields {
   def apply(g: TemporalBipartiteGraph): GraphFields = {
-    def nested(a: Array[Array[Int]]): Seq[Seq[Int]] = a.toSeq.map(_.toSeq)
+    def list(off: Array[Int], nbr: Array[Int], k: Int): Seq[Int] = nbr.slice(off(k), off(k + 1)).toSeq
     GraphFields(g.nU, g.nV, g.nT, g.uLabels.toSeq, g.vLabels.toSeq, g.tLabels.toSeq,
-      nested(g.uAdj), g.uAdjTs.toSeq.map(nested), nested(g.vAdj),
-      g.gammaU.toSeq.map(nested), g.gammaV.toSeq.map(nested))
+      Vector.tabulate(g.nU)(list(g.uOff, g.uNbr, _)),
+      Vector.tabulate(g.nU)(u => (g.uOff(u) until g.uOff(u + 1)).map(list(g.tsOff, g.ts, _))),
+      Vector.tabulate(g.nV)(list(g.vOff, g.vNbr, _)),
+      Vector.tabulate(g.nT, g.nU)((t, u) => list(g.gUOff, g.gUNbr, g.keyU(u, t))),
+      Vector.tabulate(g.nT, g.nV)((t, v) => list(g.gVOff, g.gVNbr, g.keyV(v, t))))
   }
 }
 

@@ -37,14 +37,16 @@ class TemporalBipartiteGraphSpec extends AnyFunSuite {
   test("momentary degrees and neighbors (Definition 2.2)") {
     assert(g.mDegU(0, 0) == 2) // u=1 at t=0: v=10,11
     assert(g.mDegU(0, 1) == 1) // u=1 at t=1: v=10
-    assert(g.gammaV(0)(0).toSeq == Seq(0, 1)) // v=10 at t=0: u=1,2
-    assert(g.gammaV(1)(1).toSeq == Seq(1))    // v=11 at t=1: u=2
+    val f = GraphFields(g)
+    assert(f.gammaV(0)(0) == Seq(0, 1)) // v=10 at t=0: u=1,2
+    assert(f.gammaV(1)(1) == Seq(1))    // v=11 at t=1: u=2
   }
 
   test("per-edge timestamp lists are sorted and complete") {
     // u=1 (internal 0) — v=10 (internal 0) at timestamps 0 and 1
-    val i = g.uAdj(0).indexOf(0)
-    assert(g.uAdjTs(0)(i).toSeq == Seq(0, 1))
+    val f = GraphFields(g)
+    val i = f.uAdj(0).indexOf(0)
+    assert(f.uAdjTs(0)(i) == Seq(0, 1))
   }
 
   test("internalEdges round-trips the edge set") {
@@ -96,17 +98,18 @@ class TemporalBipartiteGraphSpec extends AnyFunSuite {
   for (seed <- 0 until 10) {
     test(s"random graph invariants (seed $seed)") {
       val g = TestGraphs.random(5, 6, 4, 0.3, seed)
+      val f = GraphFields(g)
       // adjacency symmetry between the two CSR views
-      for (u <- 0 until g.nU; v <- g.uAdj(u))
-        assert(g.vAdj(v).contains(u), s"v $v missing back-edge to u $u")
+      for (u <- 0 until g.nU; v <- f.uAdj(u))
+        assert(f.vAdj(v).contains(u), s"v $v missing back-edge to u $u")
       // snapshot adjacency consistent with timestamp lists
-      for (u <- 0 until g.nU; (v, i) <- g.uAdj(u).zipWithIndex; t <- g.uAdjTs(u)(i)) {
-        assert(g.gammaU(t)(u).contains(v))
-        assert(g.gammaV(t)(v).contains(u))
+      for (u <- 0 until g.nU; (v, i) <- f.uAdj(u).zipWithIndex; t <- f.uAdjTs(u)(i)) {
+        assert(f.gammaU(t)(u).contains(v))
+        assert(f.gammaV(t)(v).contains(u))
       }
       // sorted adjacency
       for (t <- 0 until g.nT; u <- 0 until g.nU)
-        assert(g.gammaU(t)(u).toSeq == g.gammaU(t)(u).toSeq.sorted)
+        assert(f.gammaU(t)(u) == f.gammaU(t)(u).sorted)
     }
   }
 }
