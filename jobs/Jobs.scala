@@ -9,7 +9,9 @@ import repro.bench.{Datasets, Tables}
   *   spark-submit --class repro.jobs.Table1Job target/scala-2.13/repro_*.jar
   */
 object Jobs {
-  /** Builds the local session the jobs run with (mirrors SparkSpec). */
+  /** Builds the local session the jobs, the benchmark and the tests run
+    * with. Broadcast joins are disabled so joins take the shuffle path.
+    */
   def session(app: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core._
 import repro.graph.TemporalBipartiteGraph
-import repro.spark.BipartiteDF
 
 /** Computation of every evaluation-section table (the rows the benches and
   * jobs print, and EXPERIMENTS.md records). Paper numbers are embedded next
@@ -98,8 +97,9 @@ object Tables {
 
   def table2(spark: SparkSession): Seq[Table2Row] =
     Datasets.all.map { spec =>
-      val (nu, nv, ne, nt) = BipartiteDF.stats(spec.edges(spark))
-      Table2Row(spec.name, nu, nv, ne, nt, spec.paperU, spec.paperV, spec.paperE, spec.nT, spec.defaults)
+      val g = loadGraph(spark, spec)
+      Table2Row(spec.name, g.nU, g.nV, g.temporalEdgeCount, g.nT,
+        spec.paperU, spec.paperV, spec.paperE, spec.nT, spec.defaults)
     }
 
   def renderTable2(rows: Seq[Table2Row]): String =

@@ -4,7 +4,7 @@ import repro.graph.TemporalBipartiteGraph
 
 /** Facade wiring the paper's algorithm variants exactly as benchmarked in
   * Section 5: every variant except VFree- gets the GFCore graph filter;
-  * VFree gets the ascending-structural-degree ID reorder unless disabled.
+  * both VFree variants get the ascending-structural-degree ID reorder.
   */
 object Enumerators {
 
@@ -66,17 +66,15 @@ object Enumerators {
     }
   }
 
-  /** VFree (graph filter + ID reorder by default); `useGraphFilter = false`
-    * gives the VFree- ablation of Exp-5, `reorder = false` the Exp-7 one.
+  /** VFree (graph filter, then ID reorder); `useGraphFilter = false` gives
+    * the VFree- ablation of Exp-5.
     */
-  def vFree(g: TemporalBipartiteGraph, p: Params,
-            useGraphFilter: Boolean = true, reorder: Boolean = true,
+  def vFree(g: TemporalBipartiteGraph, p: Params, useGraphFilter: Boolean = true,
             budgetMs: Long = 0): Outcome = {
     val name = if (useGraphFilter) "VFree" else "VFree-"
     timed(name, g, budgetMs) { dl =>
       val fg = if (useGraphFilter) GFCore(g, p) else g
-      val rg = if (reorder) reorderByDegree(fg) else fg
-      val alg = new VFree(rg, p, dl)
+      val alg = new VFree(reorderByDegree(fg), p, dl)
       val res = alg.run()
       alg.stats.filteredEdges = fg.temporalEdgeCount
       (res, alg.stats)
@@ -96,8 +94,8 @@ object Enumerators {
     case "FilterV-FR" => filterV(g, p, useCandFilter = false, useArrayVerify = true, budgetMs)
     case "FilterV-VM" => filterV(g, p, useCandFilter = true, useArrayVerify = false, budgetMs)
     case "FilterV-"   => filterV(g, p, useCandFilter = false, useArrayVerify = false, budgetMs)
-    case "VFree"      => vFree(g, p, useGraphFilter = true, reorder = true, budgetMs)
-    case "VFree-"     => vFree(g, p, useGraphFilter = false, reorder = true, budgetMs)
+    case "VFree"      => vFree(g, p, useGraphFilter = true, budgetMs)
+    case "VFree-"     => vFree(g, p, useGraphFilter = false, budgetMs)
     case other        => throw new IllegalArgumentException(s"unknown algorithm: $other")
   }
 }

@@ -21,7 +21,8 @@ import repro.core.Params
 object GFCoreDF {
 
   def apply(edges: DataFrame, p: Params): DataFrame = {
-    var e = BipartiteDF.normalize(edges).localCheckpoint()
+    var e = edges.selectExpr("cast(u as long) as u", "cast(v as long) as v", "cast(t as long) as t").distinct()
+      .localCheckpoint()
     var eCount = e.count()
     var outerStable = false
     while (!outerStable) {

@@ -3,15 +3,13 @@ package repro.bench
 import repro.SparkSpec
 import repro.core.{Enumerators, Models}
 import repro.graph.TemporalBipartiteGraph
-import repro.spark.BipartiteDF
 
 /** Unit-level checks of the case-study generator (the Table 3 bench runs
   * the full comparison; these keep the semantics pinned down in `sbt test`).
   */
 class CaseStudySpec extends SparkSpec {
 
-  private lazy val graph =
-    TemporalBipartiteGraph.fromDF(BipartiteDF.normalize(CaseStudy.edges(spark)))
+  private lazy val graph = TemporalBipartiteGraph.fromDF(CaseStudy.edges(spark))
 
   test("case-study graph has the declared dimensions") {
     assert(graph.nV <= CaseStudy.conditions.length)

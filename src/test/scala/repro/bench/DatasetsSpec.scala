@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.core.Enumerators
-import repro.spark.BipartiteDF
 
 /** Smoke tests over the small stand-ins (the full sweep runs in bench/). */
 class DatasetsSpec extends SparkSpec {
@@ -37,10 +36,11 @@ class DatasetsSpec extends SparkSpec {
 
   test("D1 stand-in: statistics scale as configured") {
     val spec = Datasets.byName("D1")
-    val (nu, nv, ne, nt) = BipartiteDF.stats(spec.edges(spark))
-    assert(nt.toInt <= spec.nT)
-    assert(nu <= spec.nU + 1)
-    assert(nv <= spec.nV + 1)
+    val g = Tables.loadGraph(spark, spec)
+    assert(g.nT <= spec.nT)
+    assert(g.nU <= spec.nU + 1)
+    assert(g.nV <= spec.nV + 1)
+    val ne = g.temporalEdgeCount
     assert(ne >= spec.targetEdges / 2 && ne <= spec.targetEdges * 3 / 2)
   }
 }

@@ -19,14 +19,14 @@ class DistributedMfgSpec extends SparkSpec {
 
   test("distributed ≡ brute force on the planted graph") {
     val g = TestGraphs.planted
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = edgesDF(g.labeledEdges.toSeq)
     val p = Params(2, 2, 3)
     assert(runToSets(e, p) == Set(Set(10L, 11L, 12L)))
   }
 
   test("distributed ≡ local VFree on a random graph (seed 21)") {
     val g = TestGraphs.random(8, 9, 5, 0.45, 21)
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = edgesDF(g.labeledEdges.toSeq)
     val p = Params(2, 2, 2)
     val local = Enumerators.vFree(g, p).results.get
     assert(runToSets(e, p) == local)
@@ -35,20 +35,20 @@ class DistributedMfgSpec extends SparkSpec {
 
   test("distributed ≡ local VFree with overlapping MFGs (seed 22)") {
     val g = TestGraphs.random(9, 9, 4, 0.55, 22)
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = edgesDF(g.labeledEdges.toSeq)
     val p = Params(2, 1, 2)
     assert(runToSets(e, p) == Enumerators.vFree(g, p).results.get)
   }
 
   test("distributed handles a fully-pruned graph (empty result)") {
     val g = TestGraphs.tiny
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = edgesDF(g.labeledEdges.toSeq)
     assert(runToSets(e, Params(3, 3, 5)).isEmpty)
   }
 
   test("result DataFrame groups are sorted label arrays") {
     val g = TestGraphs.planted
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = edgesDF(g.labeledEdges.toSeq)
     val rows = DistributedMfg.run(spark, e, Params(2, 2, 3)).collect()
     for (r <- rows) {
       val arr = r.getSeq[Long](0)
@@ -69,7 +69,7 @@ class DistributedMfgSpec extends SparkSpec {
   test("property: distributed ≡ local VFree ≡ brute force, each group in exactly one row") {
     GraphGen.check(forAll(GraphGen.edges, GraphGen.params(3)) { (es, p) =>
       val g = TemporalBipartiteGraph.fromEdges(es)
-      val rows = DistributedMfg.run(spark, BipartiteDF.fromTriples(spark, es), p).collect()
+      val rows = DistributedMfg.run(spark, edgesDF(es), p).collect()
         .map(_.getSeq[Long](0).toSet).toSeq
       val got = rows.toSet
       val local = Enumerators.vFree(g, p).results.get

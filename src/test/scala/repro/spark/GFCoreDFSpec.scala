@@ -12,7 +12,7 @@ class GFCoreDFSpec extends SparkSpec {
 
   private def check(seed: Long, p: Params): Unit = {
     val g = TestGraphs.random(7, 7, 4, 0.45, seed)
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = edgesDF(g.labeledEdges.toSeq)
     val kept = GFCoreDF(e, p)
     val dfEdges = kept.collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getLong(2))).toSet
@@ -30,7 +30,7 @@ class GFCoreDFSpec extends SparkSpec {
 
   test("GFCoreDF keeps a planted group and drops noise") {
     val g = TestGraphs.planted
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = edgesDF(g.labeledEdges.toSeq)
     val kept = GFCoreDF(e, Params(2, 2, 3)).collect()
     assert(kept.nonEmpty)
     assert(kept.map(_.getLong(1)).toSet == Set(10L, 11L, 12L))
@@ -38,7 +38,7 @@ class GFCoreDFSpec extends SparkSpec {
 
   test("GFCoreDF fully prunes an infrequent graph") {
     val g = TestGraphs.tiny
-    val e = BipartiteDF.fromTriples(spark, g.labeledEdges.toSeq)
+    val e = edgesDF(g.labeledEdges.toSeq)
     assert(GFCoreDF(e, Params(2, 2, 5)).count() == 0)
   }
 }
