@@ -37,6 +37,9 @@ object Deadline {
   *
   * `cmNanos` is the Table 1 metric: time spent computing valid candidate
   * sets plus time spent verifying maximality ("FilterV-CM" / "VFree-CM").
+  * `step1Touches` and `step3Touches` are VFree's Theorem 4.2 cost terms as
+  * deterministic counts: Γ(v, t) entries read by Step 1, and Γ(u, t)
+  * entries read by Steps 3–4 and the lower-id maximality pass.
   */
 final class EnumStats extends Serializable {
   var nodes: Long = 0L          // search-tree nodes expanded
@@ -45,6 +48,8 @@ final class EnumStats extends Serializable {
   var totalNanos: Long = 0L     // end-to-end enumeration time
   var filteredEdges: Long = 0L  // temporal edges surviving the graph filter
   var inputEdges: Long = 0L     // temporal edges before the graph filter
+  var step1Touches: Long = 0L   // VFree: Γ(v, t) entries scanned in Step 1
+  var step3Touches: Long = 0L   // VFree: Γ(u, t) entries scanned in Steps 3–4
 
   def cmMs: Double = cmNanos / 1e6
   def totalMs: Double = totalNanos / 1e6

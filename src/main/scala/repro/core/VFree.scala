@@ -21,7 +21,12 @@ import scala.collection.mutable
   *
   * The valid candidate set falls out of `cntT` with no explicit frequency
   * verification, and maximality falls out of the ascending-id processing
-  * order via the `notRepeat` flag (Theorem 4.1) with no result comparisons.
+  * order (Theorem 4.1) with no result comparisons. V_S is ascending and v
+  * is its largest id, so Step 3 counts only the v' > v: each ascending
+  * Γ(u, t) is scanned from its end down to v, and no v' there is in V_S.
+  * The lower ids v' < v matter only to Theorem 4.1's test at a would-be
+  * result (V_S' frequent, C_V* = ∅, |V_S'| ≥ τ_V), so `notRepeat` counts
+  * them there alone, stopping at the first v' that extends V_S'.
   *
   * A search node allocates nothing. cand_U and cand_V are shared arrays
   * that a node fills and consumes before its first recursive call. C_T' and
@@ -88,6 +93,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
 
     var nCt = 0
     var nCandV = 0
+    var touch1 = 0L
+    var touch3 = 0L
     var ti = 0
     while (ti < ctLen) {
       val t = st(ctOff + ti)
@@ -96,6 +103,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
       var nCandU = 0
       var i = gVOff(g.keyV(v, t))
       val end = gVOff(g.keyV(v, t) + 1)
+      touch1 += end - i
       while (i < end) {
         val u = gVNbr(i)
         val c = cntU(row + u) + 1
@@ -107,45 +115,46 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
       if (nCandU >= p.tauU) {
         st(base + nCt) = t
         nCt += 1
-        // Step 3: reverse-ascertain from V; Step 4: survived count update.
+        // Step 3: reverse-ascertain from V over the suffix v' > v of each
+        // ascending Γ(u, t); Step 4: survived count update.
         pass += 1
         var ci = 0
         while (ci < nCandU) {
-          var j = gUOff(row + candU(ci))
-          val end = gUOff(row + candU(ci) + 1)
-          while (j < end) {
+          val lo = gUOff(row + candU(ci))
+          val hi = gUOff(row + candU(ci) + 1)
+          var j = hi - 1
+          while (j >= lo && gUNbr(j) > v) {
             val v2 = gUNbr(j)
-            if (!inVS(v2)) {
-              val c =
-                if (visitV(v2) != pass) { visitV(v2) = pass; cntVT(v2) = 1; 1 }
-                else { cntVT(v2) += 1; cntVT(v2) }
-              if (c == p.tauU) {
-                if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
-                cntT(v2) += 1
-              }
+            val c =
+              if (visitV(v2) != pass) { visitV(v2) = pass; cntVT(v2) = 1; 1 }
+              else { cntVT(v2) += 1; cntVT(v2) }
+            if (c == p.tauU) {
+              if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
+              cntT(v2) += 1
             }
-            j += 1
+            j -= 1
           }
+          touch3 += hi - 1 - j
           ci += 1
         }
       }
       ti += 1
     }
 
-    // Valid candidate set from cntT; notRepeat encodes implicit maximality.
-    var notRepeat = true
+    // Valid candidate set from cntT.
     val cvOff = base + nCt
     var nCv = 0
     var k = 0
     while (k < nCandV) {
       val v2 = candV(k)
-      if (cntT(v2) >= p.lambda) {
-        if (v2 < v) notRepeat = false else { st(cvOff + nCv) = v2; nCv += 1 }
-      }
+      if (cntT(v2) >= p.lambda) { st(cvOff + nCv) = v2; nCv += 1 }
       cntT(v2) = 0
       k += 1
     }
     val frequent = nCt >= p.lambda
+    stats.step1Touches += touch1
+    stats.step3Touches += touch3
+    val emit = frequent && nCv == 0 && vsSize2 >= p.tauV && notRepeat(v, vsSize2, base, nCt)
     stats.cmNanos += System.nanoTime() - t0
 
     if (frequent && vsSize2 + nCv >= p.tauV && nCv > 0) {
@@ -153,8 +162,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
       var si = 0
       while (si < nCv) { branch(stack(cvOff + si), vsSize2, base, nCt, cvOff + nCv); si += 1 }
     }
-    if (frequent && nCv == 0 && notRepeat && vsSize2 >= p.tauV)
-      results += java.util.Arrays.copyOf(vs, vsSize2)
+    if (emit) results += java.util.Arrays.copyOf(vs, vsSize2)
 
     // Restore cntU so siblings/parents see the state for V_S alone.
     val t1 = System.nanoTime()
@@ -169,6 +177,57 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     }
     stats.cmNanos += System.nanoTime() - t1
     inVS(v) = false
+  }
+
+  /** Theorem 4.1 at a would-be result V_S' = vs[0, size) whose largest id
+    * is `v`: true unless some v' < v outside V_S has τ_U common m-neighbors
+    * with V_S' at λ of its survived timestamps stack[ctOff, ctOff + nCt).
+    * Steps 3–4 over the prefix v' < v of each Γ(u, t), stopping at the
+    * first v' to reach λ. `cntU` still holds V_S' and `candV` is free, so
+    * cand_U is read off `cntU` and `candV` lists the v' whose `cntT` this
+    * pass raised; it zeroes them before returning.
+    */
+  private def notRepeat(v: Int, size: Int, ctOff: Int, nCt: Int): Boolean = {
+    var touched = 0
+    var touch3 = 0L
+    var extended = false
+    var ti = 0
+    while (ti < nCt && !extended) {
+      val t = stack(ctOff + ti)
+      val row = g.keyU(0, t)
+      pass += 1
+      var i = gVOff(g.keyV(v, t))
+      val end = gVOff(g.keyV(v, t) + 1)
+      while (i < end && !extended) {
+        val u = gVNbr(i)
+        if (cntU(row + u) == size) { // u ∈ cand_U
+          val lo = gUOff(row + u)
+          val hi = gUOff(row + u + 1)
+          var j = lo
+          while (j < hi && gUNbr(j) < v && !extended) {
+            val v2 = gUNbr(j)
+            if (!inVS(v2)) {
+              val c =
+                if (visitV(v2) != pass) { visitV(v2) = pass; cntVT(v2) = 1; 1 }
+                else { cntVT(v2) += 1; cntVT(v2) }
+              if (c == p.tauU) {
+                if (cntT(v2) == 0) { candV(touched) = v2; touched += 1 }
+                cntT(v2) += 1
+                extended = cntT(v2) >= p.lambda
+              }
+            }
+            j += 1
+          }
+          touch3 += j - lo
+        }
+        i += 1
+      }
+      ti += 1
+    }
+    var k = 0
+    while (k < touched) { cntT(candV(k)) = 0; k += 1 }
+    stats.step3Touches += touch3
+    !extended
   }
 
   /** Full enumeration: [[runSeed]] over every root seed in ascending id

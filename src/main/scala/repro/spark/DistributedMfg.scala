@@ -9,7 +9,7 @@ import repro.graph.TemporalBipartiteGraph
   *
   *  1. On the driver: `fromDF`, [[GFCore]] and VFree's degree reorder, the
   *     calls [[Enumerators.vFree]] makes. The driver holds the unfiltered
-  *     graph once (1.7 MB for the D4 stand-in) while GFCore runs.
+  *     graph once (about 0.86 MB for the D4 stand-in) while GFCore runs.
   *  2. Broadcast the filtered graph to the executors.
   *  3. One seed per V vertex over a Dataset, each run with [[VFree.runSeed]]:
   *     root branches are independent and their results are globally maximal

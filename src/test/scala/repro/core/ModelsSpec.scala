@@ -1,9 +1,10 @@
 package repro.core
 
+import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
-import repro.graph.GraphFields
+import repro.graph.{GraphFields, GraphGen}
 
 class ModelsSpec extends AnyFunSuite {
 
@@ -25,6 +26,14 @@ class ModelsSpec extends AnyFunSuite {
       val p = Params(2, 2, 1)
       assert(Models.msg(g, p).get == BruteForce.mfgLabels(g, p), s"seed $seed")
     }
+  }
+
+  test("property: MSG ≡ brute-force MFGs of the static collapse at λ = 1") {
+    GraphGen.check(forAll(GraphGen.graphs, GraphGen.params(4)) { (g, p) =>
+      val got = Models.msg(g, p).get
+      val want = BruteForce.mfgLabels(g.collapseStatic, p.copy(lambda = 1))
+      (got == want) :| s"$p: got $got\nwant $want"
+    })
   }
 
   test("MFB finds a biclique repeated identically across snapshots") {

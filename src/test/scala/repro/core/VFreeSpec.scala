@@ -93,6 +93,40 @@ class VFreeSpec extends AnyFunSuite {
     val engine = new VFree(g, p, Deadline.unlimited)
     assert(engine.run().size == 27007)
     assert(engine.stats.nodes == 244790)
+    assert(engine.stats.step1Touches == 16518303L)
+    assert(engine.stats.step3Touches == 12669600L)
+  }
+
+  // The lower-id maximality pass runs only at a would-be result; the graphs
+  // below are fed to the kernel unreordered, so V's ids are its labels.
+  private def checkLabelOrder(g: repro.graph.TemporalBipartiteGraph, p: Params, want: Set[Set[Long]]): Unit = {
+    assert(BruteForce.mfgLabels(g, p) == want)
+    assert(new VFree(g, p, Deadline.unlimited).run() == want)
+  }
+
+  test("lower-id pass: the only witness v' < v reaches λ at the last survived timestamp") {
+    // {1, 2} with u0, u1 at t0..t3; v0 joins it at t1..t3 (λ = 3 is reached
+    // at t3) and at t0 shares only u0, one m-neighbor short of τ_U.
+    val group = for (u <- 0 to 1; v <- 1 to 2; t <- 0 to 3) yield (u, v, t)
+    val witness = (0, 0, 0) +: (for (u <- 0 to 1; t <- 1 to 3) yield (u, 0, t))
+    checkLabelOrder(TestGraphs.of(group ++ witness: _*), Params(2, 2, 3), Set(Set(0L, 1L, 2L)))
+  }
+
+  test("lower-id pass: a would-be witness inside V_S does not suppress the result") {
+    // {0, 2} with u0, u1 at t0..t2; v0 ∈ V_S is the only id below 2 that
+    // co-occurs λ times, and v1 shares u0, u1 with it at t0 alone.
+    val group = for (u <- 0 to 1; v <- Seq(0, 2); t <- 0 to 2) yield (u, v, t)
+    val v1 = for (u <- 0 to 1) yield (u, 1, 0)
+    checkLabelOrder(TestGraphs.of(group ++ v1: _*), Params(2, 2, 3), Set(Set(0L, 2L)))
+  }
+
+  test("lower-id pass: sibling would-be results do not share witness counts") {
+    // Children {1, 2} (t0, t1) and {1, 3} (t2, t3) of V_S = {1}: v0 co-occurs
+    // once with each, so only a count leaked from the first pass would
+    // reach λ = 2 in the second and suppress {1, 3}.
+    val at = Seq(0 -> Seq(0, 1, 2), 1 -> Seq(1, 2), 2 -> Seq(0, 1, 3), 3 -> Seq(1, 3))
+    val edges = for ((t, vs) <- at; v <- vs; u <- 0 to 1) yield (u, v, t)
+    checkLabelOrder(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L), Set(1L, 2L), Set(1L, 3L)))
   }
 
   test("stats.nodes counts one node per branch expansion") {
