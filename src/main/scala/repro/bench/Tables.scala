@@ -58,10 +58,10 @@ object Tables {
     val g = loadGraph(spark, Datasets.byName("D14"))
     // JIT warm-up at the tightest setting so the measured loop is steady-state
     Enumerators.filterV(g, table1Settings.last, budgetMs = budgetMs)
-    Enumerators.vFree(g, table1Settings.last, budgetMs = budgetMs)
+    Enumerators.vFree(g, table1Settings.last, budgetMs = budgetMs, workers = 1)
     table1Settings.map { p =>
       val fv = measured(Enumerators.filterV(g, p, budgetMs = budgetMs))
-      val vf = measured(Enumerators.vFree(g, p, budgetMs = budgetMs))
+      val vf = measured(Enumerators.vFree(g, p, budgetMs = budgetMs, workers = 1))
       Table1Row(p,
         filterVCmShare = fv.stats.cmShare * 100.0,
         filterVCmSec = fv.stats.cmNanos / 1e9,
@@ -150,7 +150,7 @@ object Tables {
     names.map { n =>
       val spec = Datasets.byName(n)
       val g = loadGraph(spark, spec)
-      Exp1Row(spec.name, algos.map(a => measured(Enumerators.run(a, g, spec.defaults, budgetMs))))
+      Exp1Row(spec.name, algos.map(a => measured(Enumerators.run(a, g, spec.defaults, budgetMs, workers = 1))))
     }
   }
 
@@ -194,8 +194,9 @@ object Tables {
     names.map { n =>
       val spec = Datasets.byName(n)
       val g = loadGraph(spark, spec)
-      val vf = measured(Enumerators.vFree(g, spec.defaults, budgetMs = budgetMs))
-      val vfMinus = measured(Enumerators.vFree(g, spec.defaults, useGraphFilter = false, budgetMs = budgetMs))
+      val vf = measured(Enumerators.vFree(g, spec.defaults, budgetMs = budgetMs, workers = 1))
+      val vfMinus = measured(Enumerators.vFree(g, spec.defaults, useGraphFilter = false, budgetMs = budgetMs,
+        workers = 1))
       Exp5Row(spec.name, vf.stats.pruneRatio * 100.0, vf.stats.totalMs, vfMinus.stats.totalMs)
     }
 

@@ -29,7 +29,7 @@ final class BkAlg(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
   private val vsStack = new Array[Int](math.max(1, g.nV))
 
   private def enum(us: Array[Int], vsLen: Int, cv: Array[Int], from: Int): Unit = {
-    deadline.check()
+    deadline.check(stats.nodes)
     stats.nodes += 1
     var extended = false
     var i = from

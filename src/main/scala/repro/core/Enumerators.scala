@@ -24,7 +24,7 @@ object Enumerators {
                    (body: Deadline => (Set[Set[Long]], EnumStats)): Outcome = {
     val t0 = System.nanoTime()
     try {
-      val (res, stats) = body(Deadline.ms(budgetMs))
+      val (res, stats) = body(new Deadline(budgetMs))
       stats.totalNanos = System.nanoTime() - t0 // include graph-filter time
       stats.inputEdges = g.temporalEdgeCount
       Outcome(name, Some(res), stats)
@@ -67,15 +67,17 @@ object Enumerators {
   }
 
   /** VFree (graph filter, then ID reorder); `useGraphFilter = false` gives
-    * the VFree- ablation of Exp-5.
+    * the VFree- ablation of Exp-5. The search runs on `workers` threads
+    * ([[VFree.run]]); the paper's timing comparisons pass 1, because the
+    * other enumerators are single-threaded.
     */
   def vFree(g: TemporalBipartiteGraph, p: Params, useGraphFilter: Boolean = true,
-            budgetMs: Long = 0): Outcome = {
+            budgetMs: Long = 0, workers: Int = VFree.defaultWorkers): Outcome = {
     val name = if (useGraphFilter) "VFree" else "VFree-"
     timed(name, g, budgetMs) { dl =>
       val fg = if (useGraphFilter) GFCore(g, p) else g
       val alg = new VFree(reorderByDegree(fg), p, dl)
-      val res = alg.run()
+      val res = alg.run(workers)
       alg.stats.filteredEdges = fg.temporalEdgeCount
       (res, alg.stats)
     }
@@ -87,15 +89,18 @@ object Enumerators {
   def reorderByDegree(g: TemporalBipartiteGraph): TemporalBipartiteGraph =
     g.relabelV(TemporalBipartiteGraph.countingSort(Array.range(0, g.nV), g.nU + 1)(g.sDegV)._1)
 
-  /** Dispatch by paper name (bench harness entry point). */
-  def run(name: String, g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0): Outcome = name match {
+  /** Dispatch by paper name (bench harness entry point); `workers` reaches
+    * only the VFree variants.
+    */
+  def run(name: String, g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0,
+          workers: Int = VFree.defaultWorkers): Outcome = name match {
     case "BK-ALG+"    => bkAlgPlus(g, p, budgetMs)
     case "FilterV"    => filterV(g, p, useCandFilter = true, useArrayVerify = true, budgetMs)
     case "FilterV-FR" => filterV(g, p, useCandFilter = false, useArrayVerify = true, budgetMs)
     case "FilterV-VM" => filterV(g, p, useCandFilter = true, useArrayVerify = false, budgetMs)
     case "FilterV-"   => filterV(g, p, useCandFilter = false, useArrayVerify = false, budgetMs)
-    case "VFree"      => vFree(g, p, useGraphFilter = true, budgetMs)
-    case "VFree-"     => vFree(g, p, useGraphFilter = false, budgetMs)
+    case "VFree"      => vFree(g, p, useGraphFilter = true, budgetMs, workers)
+    case "VFree-"     => vFree(g, p, useGraphFilter = false, budgetMs, workers)
     case other        => throw new IllegalArgumentException(s"unknown algorithm: $other")
   }
 }

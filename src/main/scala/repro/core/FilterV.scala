@@ -84,7 +84,7 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
     * the top segment; this node's C_V* goes directly above it.
     */
   private def enum(us: Array[Int], vsLen: Int, tsBits: Array[Long], cvFrom: Int, cvEnd: Int): Unit = {
-    deadline.check()
+    deadline.check(stats.nodes)
     stats.nodes += 1
 
     // --- valid candidate set computation (timed as CM) -------------------

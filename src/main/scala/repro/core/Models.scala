@@ -29,12 +29,14 @@ object Models {
 
   /** Maximal frequent (τ_U, τ_V)-bicliques (MFB) with frequency ≥ λ. */
   def mfb(g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0): Option[Vector[Biclique]] = {
-    try Some(mfbInternal(g, p, Deadline.ms(budgetMs)))
+    try Some(mfbInternal(g, p, new Deadline(budgetMs)))
     catch { case _: TimeBudgetExceeded => None }
   }
 
   private def mfbInternal(g: TemporalBipartiteGraph, p: Params, deadline: Deadline): Vector[Biclique] = {
     val collected = mutable.LinkedHashSet.empty[(Vector[Int], Vector[Int])] // (us, vs) ascending ids
+    var calls = 0L // calls of both recursions, which the deadline samples
+    def checkDeadline(): Unit = { deadline.check(calls); calls += 1 }
 
     /** Maximal itemsets over `transactions` with support ≥ λ and size ≥ τ_U.
       * Itemset maximality = no single frequent item extension (antimonotone).
@@ -50,7 +52,7 @@ object Models {
       val out = mutable.LinkedHashSet.empty[Vector[Int]]
 
       def rec(s: Vector[Int], tid: mutable.BitSet, next: Int): Unit = {
-        deadline.check()
+        checkDeadline()
         var extendedAny = false
         items.foreach { u =>
           if (!s.contains(u)) {
@@ -76,7 +78,7 @@ object Models {
     }
 
     def rec(vs: Vector[Int], cts: Array[Array[Int]], next: Int): Unit = {
-      deadline.check()
+      checkDeadline()
       val live = cts.count(_.length >= p.tauU)
       if (live < p.lambda) return
       if (vs.size >= p.tauV) {

@@ -12,25 +12,24 @@ final case class Params(tauU: Int, tauV: Int, lambda: Int) {
   */
 final class TimeBudgetExceeded(ms: Long) extends RuntimeException(s"time budget of ${ms}ms exceeded")
 
-/** Cooperative time budget checked inside search recursions. */
+/** Cooperative time budget checked inside search recursions. Immutable, so
+  * one deadline can be shared by every worker of a run. A `limitMs` ≤ 0
+  * never expires.
+  */
 final class Deadline(limitMs: Long) extends Serializable {
   private val startNanos = System.nanoTime()
-  private var calls = 0L
 
-  /** Cheap amortised check: samples the clock every 1024 calls. */
-  def check(): Unit = {
-    if (limitMs <= 0) return
-    calls += 1
-    if ((calls & 1023) == 0 && System.nanoTime() - startNanos > limitMs * 1000000L)
+  /** Cheap amortised check: samples the clock when `nodes`, the caller's own
+    * node count, is a multiple of 1024.
+    */
+  def check(nodes: Long): Unit =
+    if (limitMs > 0 && (nodes & 1023) == 0 && System.nanoTime() - startNanos > limitMs * 1000000L)
       throw new TimeBudgetExceeded(limitMs)
-  }
 }
 
 object Deadline {
   /** No limit. */
-  def unlimited: Deadline = new Deadline(0)
-  /** Expires `limit` ms from now; a `limit` ≤ 0 never expires. */
-  def ms(limit: Long): Deadline = new Deadline(limit)
+  val unlimited: Deadline = new Deadline(0)
 }
 
 /** Mutable instrumentation counters shared by the enumerators.
@@ -39,7 +38,9 @@ object Deadline {
   * sets plus time spent verifying maximality ("FilterV-CM" / "VFree-CM").
   * `step1Touches` and `step3Touches` are VFree's Theorem 4.2 cost terms as
   * deterministic counts: Γ(v, t) entries read by Step 1, and Γ(u, t)
-  * entries read by Steps 3–4 and the lower-id maximality pass.
+  * entries read by Steps 3–4 and the lower-id maximality pass. `maxDepth`
+  * is the largest |V_S| a VFree node reached. All but the times are
+  * deterministic, whatever the number of workers.
   */
 final class EnumStats extends Serializable {
   var nodes: Long = 0L          // search-tree nodes expanded
@@ -50,6 +51,20 @@ final class EnumStats extends Serializable {
   var inputEdges: Long = 0L     // temporal edges before the graph filter
   var step1Touches: Long = 0L   // VFree: Γ(v, t) entries scanned in Step 1
   var step3Touches: Long = 0L   // VFree: Γ(u, t) entries scanned in Steps 3–4
+  var maxDepth: Int = 0         // VFree: largest |V_S| of a search node
+
+  /** Adds another run's search counters to these (`maxDepth` by max); the
+    * per-run fields `totalNanos`, `filteredEdges` and `inputEdges` are left
+    * alone.
+    */
+  def merge(o: EnumStats): Unit = {
+    nodes += o.nodes
+    freqChecks += o.freqChecks
+    cmNanos += o.cmNanos
+    step1Touches += o.step1Touches
+    step3Touches += o.step3Touches
+    maxDepth = math.max(maxDepth, o.maxDepth)
+  }
 
   def cmMs: Double = cmNanos / 1e6
   def totalMs: Double = totalNanos / 1e6

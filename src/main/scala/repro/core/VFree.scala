@@ -2,7 +2,11 @@ package repro.core
 
 import repro.graph.TemporalBipartiteGraph
 
+import java.util.concurrent.ConcurrentHashMap
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
+
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Verification-Free approach (Algorithm 4).
   *
@@ -34,22 +38,27 @@ import scala.collection.mutable
   * growable `Int` stack above its parent's; the child reads its C_T from
   * the parent's segment. V_S is an array indexed by depth.
   *
-  * Memory: nT·nU + O(nU + nV) `Int`s, plus at most nT + depth·(nT + nV)
-  * stack entries. Depth: along a branch V_S is ascending and every subset
+  * Memory per engine: nT·nU + O(nU + nV) `Int`s, plus at most
+  * nT + depth·(nT + nV) stack entries; [[run]] with k workers holds k
+  * engines. Depth: along a branch V_S is ascending and every subset
   * of a frequent V_S is frequent (Lemma 2.2), so at τ_V ≤ 2 every ascending
   * subset of a depth-d V_S that starts at the seed is a node of that seed:
   * depth d costs at least 2^(d−1) nodes (the subsets keeping V_S's last
   * τ_V − 1 vertices, 2^(d−τ_V), at larger τ_V). On a complete biclique the
   * bound is met exactly. A frame holds only scalars, so search time bounds
-  * the depth long before the `-Xss64m` thread stack does.
+  * the depth long before the `-Xss64m` thread stack does. Worker threads
+  * are created with the JVM's default stack size, so that `-Xss` (which the
+  * tests and perfbench set to 64m) covers them as it covers the caller.
   *
   * The caller is responsible for graph filtering (GFCore) and the
   * ascending-structural-degree ID reorder ([[Enumerators.reorderByDegree]],
   * which maps V through `TemporalBipartiteGraph.relabelV`) — see
-  * [[Enumerators.vFree]]. Root branches are independent, so the one
-  * search entry is [[runSeed]]: [[run]] fans out over every seed in this JVM
-  * (checking that no group is emitted twice), [[repro.spark.DistributedMfg]]
-  * over a Spark Dataset.
+  * [[Enumerators.vFree]]. Root branches are independent (Theorem 4.1: each
+  * seed's MFGs are globally maximal), so the one search entry is
+  * [[runSeed]], which runs one seed on this engine's thread. [[run]] fans
+  * the seeds out over worker threads in this JVM, each with its own engine
+  * and the shared read-only graph, and checks that no group is emitted
+  * twice; [[repro.spark.DistributedMfg]] fans them out over a Spark Dataset.
   *
   * Two guards absent from the paper's printed pseudocode are added on its
   * line 40 (|C_T'| ≥ λ and |V_S'| ≥ τ_V): without them root-level seeds that
@@ -81,10 +90,11 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     * stack[ctOff, ctOff + ctLen); this node's segment starts at `base`.
     */
   private def branch(v: Int, depth: Int, ctOff: Int, ctLen: Int, base: Int): Unit = {
-    deadline.check()
+    deadline.check(stats.nodes)
     stats.nodes += 1
     val t0 = System.nanoTime()
     val vsSize2 = depth + 1
+    if (vsSize2 > stats.maxDepth) stats.maxDepth = vsSize2
     inVS(v) = true
     vs(depth) = v
     if (base + ctLen + g.nV > stack.length)
@@ -230,14 +240,39 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     !extended
   }
 
-  /** Full enumeration: [[runSeed]] over every root seed in ascending id
-    * order. Throws `IllegalStateException` if a group is emitted twice.
+  /** Full enumeration: [[runSeed]] over every root seed, fanned out over
+    * k = min(`workers`, nV) engines (`workers` defaults to
+    * [[VFree.defaultWorkers]]). The calling thread runs this engine and
+    * k − 1 threads named `vfree-worker-i` each run a fresh one; all pull
+    * seeds in ascending id order from one shared cursor and are joined
+    * before `run` returns. Their `stats` are merged into this `stats`, so
+    * the counters are the sums of a sequential run. The first failure of any
+    * worker (`TimeBudgetExceeded`, `IllegalStateException` for a group
+    * emitted twice, `StackOverflowError`) stops the others at their next
+    * seed and is rethrown as it was thrown.
     */
-  def run(): Set[Set[Long]] = {
-    val found = mutable.HashSet.empty[Set[Long]]
-    for (seed <- 0 until g.nV; s <- runSeed(seed))
-      if (!found.add(s)) throw new IllegalStateException(s"VFree emitted group $s twice")
-    found.toSet
+  def run(workers: Int = VFree.defaultWorkers): Set[Set[Long]] = {
+    require(workers >= 1, s"workers must be positive: $workers")
+    val found = ConcurrentHashMap.newKeySet[Set[Long]]()
+    val next = new AtomicInteger(0)
+    val failure = new AtomicReference[Throwable]()
+    def work(engine: VFree): Unit =
+      try {
+        var seed = next.getAndIncrement()
+        while (seed < g.nV && failure.get == null) {
+          for (s <- engine.runSeed(seed))
+            if (!found.add(s)) throw new IllegalStateException(s"VFree emitted group $s twice")
+          seed = next.getAndIncrement()
+        }
+      } catch { case e: Throwable => failure.compareAndSet(null, e) }
+    val engines = Vector.fill(math.min(workers, g.nV) - 1)(new VFree(g, p, deadline))
+    val threads = engines.zipWithIndex.map { case (e, i) => new Thread(() => work(e), s"vfree-worker-${i + 1}") }
+    threads.foreach(_.start())
+    work(this)
+    threads.foreach(_.join())
+    engines.foreach(e => stats.merge(e.stats))
+    if (failure.get != null) throw failure.get
+    found.asScala.toSet
   }
 
   /** Enumerates only the MFGs discovered in root branch `seed` (internal
@@ -251,4 +286,16 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     branch(seed, 0, 0, g.nT, g.nT)
     results.iterator.map(_.map(g.vLabels).toSet).toVector
   }
+}
+
+object VFree {
+  /** Workers of [[VFree.run]] when the caller names none: half the cores,
+    * at least one. A run ends when its last worker does. With a worker on
+    * every core, a core taken by the JVM's GC or JIT threads or by another
+    * tenant of the host stalls one worker, so run times follow that load.
+    * Half the cores leaves room for it: on a shared 4-vCPU host the spread
+    * of perfbench's `deep-d4` throughput from one run to the next was
+    * about 6% of its median on 2 workers, 8% on 3 and 12–18% on 4.
+    */
+  def defaultWorkers: Int = math.max(1, Runtime.getRuntime.availableProcessors / 2)
 }

@@ -4,7 +4,9 @@ import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
-import repro.graph.GraphGen
+import repro.graph.{GraphGen, TemporalBipartiteGraph}
+
+import scala.jdk.CollectionConverters._
 
 /** VFree-specific invariants beyond the brute-force cross-validation. */
 class VFreeSpec extends AnyFunSuite {
@@ -85,6 +87,7 @@ class VFreeSpec extends AnyFunSuite {
       val engine = new VFree(g, Params(3, 2, 3), Deadline.unlimited)
       assert(engine.run() == Set((0 until n).map(_.toLong).toSet))
       assert(engine.stats.nodes == (1L << n) - 1)
+      assert(engine.stats.maxDepth == n)
     }
 
   test("search tree pinned: random(30, 30, 8, 0.5, 4242), GFCore + reorder at (2, 2, 2)") {
@@ -95,6 +98,51 @@ class VFreeSpec extends AnyFunSuite {
     assert(engine.stats.nodes == 244790)
     assert(engine.stats.step1Touches == 16518303L)
     assert(engine.stats.step3Touches == 12669600L)
+    assert(engine.stats.maxDepth == 11)
+  }
+
+  test("property: run on k ∈ {1, 2, 3, 8} workers ≡ brute force, with the k = 1 counters") {
+    def counters(s: EnumStats) = (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth)
+    GraphGen.check(forAll(GraphGen.graphs, GraphGen.params(4)) { (g, p) =>
+      val rg = Enumerators.reorderByDegree(GFCore(g, p))
+      val want = BruteForce.mfgLabels(g, p)
+      val runs = Seq(1, 2, 3, 8).map { k =>
+        val engine = new VFree(rg, p, Deadline.unlimited)
+        (k, engine.run(k), counters(engine.stats))
+      }
+      runs.map { case (k, res, c) =>
+        ((res == want) :| s"$p, k = $k: got $res\nwant $want") &&
+          ((c == runs.head._3) :| s"$p, k = $k: counters $c, k = 1 ${runs.head._3}")
+      }.reduce(_ && _)
+    }, tests = 500)
+  }
+
+  test("defaultWorkers is half the cores, at least one") {
+    assert(VFree.defaultWorkers == math.max(1, Runtime.getRuntime.availableProcessors / 2))
+  }
+
+  private def workersAlive = Thread.getAllStackTraces.keySet.asScala.exists(t =>
+    t.getName.startsWith("vfree-worker-") && t.isAlive)
+
+  test("run rethrows a duplicate group unwrapped and leaves no worker alive") {
+    // Two disjoint copies of K(3, 14) whose V sides carry the same labels:
+    // each copy is one MFG, so the two seeds that find them emit one label
+    // set twice. Which worker sees the second is a race, so run it 5 times.
+    val n = 14
+    val es = for (c <- 0 to 1; u <- 0 until 3; v <- 0 until n; t <- 0 until 3) yield (3 * c + u, n * c + v, t)
+    val g = TemporalBipartiteGraph.fromInternal(es.map(_._1).toArray, es.map(_._2).toArray, es.map(_._3).toArray,
+      Array.tabulate(6)(_.toLong), Array.tabulate(2 * n)(v => (v % n).toLong), Array(0L, 1L, 2L))
+    for (_ <- 1 to 5) {
+      val e = intercept[IllegalStateException](new VFree(g, Params(3, 2, 3), Deadline.unlimited).run(4))
+      assert(e.getMessage.contains("twice"))
+      assert(!workersAlive)
+    }
+  }
+
+  test("run rethrows TimeBudgetExceeded unwrapped and leaves no worker alive") {
+    val g = TestGraphs.of((for (u <- 0 until 3; v <- 0 until 22; t <- 0 until 3) yield (u, v, t)): _*)
+    intercept[TimeBudgetExceeded](new VFree(g, Params(3, 2, 3), new Deadline(1)).run(4))
+    assert(!workersAlive)
   }
 
   // The lower-id maximality pass runs only at a would-be result; the graphs
@@ -138,9 +186,11 @@ class VFreeSpec extends AnyFunSuite {
 
   test("deadline interrupts deep search") {
     val g = TestGraphs.random(12, 16, 6, 0.7, 7777)
-    val engine = new VFree(g, Params(1, 1, 1), Deadline.ms(1))
-    // either finishes immediately or throws — both acceptable; no hang
-    try { engine.run(); succeed }
-    catch { case _: TimeBudgetExceeded => succeed }
+    val p = Params(1, 1, 1)
+    // either times out or finishes with the right groups; no hang, and no
+    // worker outlives the run
+    val out = Enumerators.vFree(g, p, budgetMs = 1, workers = 4)
+    assert(!workersAlive)
+    assert(out.timedOut || out.results.get == Enumerators.vFree(g, p, workers = 1).results.get)
   }
 }
