@@ -66,17 +66,17 @@ object Enumerators {
     }
   }
 
-  /** VFree (graph filter, then ID reorder); `useGraphFilter = false` gives
-    * the VFree- ablation of Exp-5. The search runs on `workers` threads
-    * ([[VFree.run]]); the paper's timing comparisons pass 1, because the
-    * other enumerators are single-threaded.
+  /** VFree on the core in degree order ([[GFCore.degreeOrdered]], one build);
+    * `useGraphFilter = false` gives Exp-5's VFree- ablation, reordered only.
+    * The search runs on `workers` threads ([[VFree.run]]); the paper's timing
+    * comparisons pass 1, because the other enumerators are single-threaded.
     */
   def vFree(g: TemporalBipartiteGraph, p: Params, useGraphFilter: Boolean = true,
             budgetMs: Long = 0, workers: Int = VFree.defaultWorkers): Outcome = {
     val name = if (useGraphFilter) "VFree" else "VFree-"
     timed(name, g, budgetMs) { dl =>
-      val fg = if (useGraphFilter) GFCore(g, p) else g
-      val alg = new VFree(reorderByDegree(fg), p, dl)
+      val fg = if (useGraphFilter) GFCore.degreeOrdered(g, p) else reorderByDegree(g)
+      val alg = new VFree(fg, p, dl)
       val res = alg.run(workers)
       alg.stats.filteredEdges = fg.temporalEdgeCount
       (res, alg.stats)

@@ -22,7 +22,7 @@ import scala.collection.mutable
 object GFCore {
 
   /** Surviving temporal edges (internal ids of `g`) — Algorithm 2 — in
-    * `(t, u, v)` order.
+    * `(u, v, t)` order.
     */
   def filterEdges(g: TemporalBipartiteGraph, p: Params): Array[(Int, Int, Int)] = {
     val (us, vs, ts) = survivors(g, p)
@@ -33,32 +33,42 @@ object GFCore {
     * surviving edge are dropped and the rest renumbered in their relative
     * order (original labels kept).
     */
-  def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = {
-    val (us, vs, ts) = survivors(g, p)
-    TemporalBipartiteGraph.fromInternal(us, vs, ts, compact(us, g.uLabels), compact(vs, g.vLabels),
-      compact(ts, g.tLabels))
-  }
+  def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = core(g, p, byDegree = false)
 
-  /** Renumbers the ids in `col` onto `0 until k` (k = distinct ids used),
-    * keeping their relative order; returns the labels of the kept ids.
+  /** [[apply]]'s core with V numbered by ascending (static degree in the core,
+    * old id) instead: `Enumerators.reorderByDegree(GFCore(g, p))` in one build.
     */
-  private def compact(col: Array[Int], labels: Array[Long]): Array[Long] = {
-    val used = new Array[Boolean](labels.length)
-    col.foreach(used(_) = true)
-    val kept = labels.indices.filter(used(_)).toArray
-    val newId = new Array[Int](labels.length)
-    kept.indices.foreach(k => newId(kept(k)) = k)
-    col.indices.foreach(i => col(i) = newId(col(i)))
-    kept.map(labels(_))
+  def degreeOrdered(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = core(g, p, byDegree = true)
+
+  private def core(g: TemporalBipartiteGraph, p: Params, byDegree: Boolean): TemporalBipartiteGraph = {
+    val (us, vs, ts) = survivors(g, p)
+    val vDeg = new Array[Int](g.nV) // static degree in the core: one per run of equal (u, v)
+    for (e <- us.indices if e == 0 || us(e - 1) != us(e) || vs(e - 1) != vs(e)) vDeg(vs(e)) += 1
+    TemporalBipartiteGraph.fromInternal(us, vs, ts, renumber(us, g.uLabels)(_ => 1),
+      renumber(vs, g.vLabels, g.nU + 1)(v => if (byDegree) vDeg(v) else 1), renumber(ts, g.tLabels)(_ => 1))
   }
 
-  /** The surviving edges as id columns `(us, vs, ts)`, in `(t, u, v)` order. */
+  /** Renumbers the ids in `col` onto `0 until k` (k = distinct ids used) by
+    * ascending (key, old id), `key` ∈ [1, nKeys) on the used ids, so a
+    * constant key keeps their relative order; returns the kept labels.
+    */
+  private def renumber(col: Array[Int], labels: Array[Long], nKeys: Int = 2)(key: Int => Int): Array[Long] = {
+    val used = new Array[Boolean](labels.length); col.foreach(used(_) = true)
+    val (order, off) = TemporalBipartiteGraph.countingSort(Array.range(0, labels.length), nKeys)(x =>
+      if (used(x)) key(x) else 0) // the unused ids fill bucket 0
+    val newId = new Array[Int](labels.length)
+    for (r <- off(1) until order.length) newId(order(r)) = r - off(1)
+    col.indices.foreach(i => col(i) = newId(col(i)))
+    Array.tabulate(order.length - off(1))(r => labels(order(off(1) + r)))
+  }
+
+  /** The surviving edges as id columns `(us, vs, ts)`, in `(u, v, t)` order: O(|E|). */
   private def survivors(g: TemporalBipartiteGraph, p: Params): (Array[Int], Array[Int], Array[Int]) = {
     val deg = cascade(g, p); val n = g.nU + g.nV
     val us, vs, ts = new mutable.ArrayBuilder.ofInt
-    for (t <- 0 until g.nT; u <- 0 until g.nU if deg(t * n + u) > 0;
-         i <- g.gUOff(g.keyU(u, t)) until g.gUOff(g.keyU(u, t) + 1) if deg(t * n + g.nU + g.gUNbr(i)) > 0) {
-      us += u; vs += g.gUNbr(i); ts += t
+    for (u <- 0 until g.nU; i <- g.uOff(u) until g.uOff(u + 1); e <- g.tsOff(i) until g.tsOff(i + 1)
+         if deg(g.ts(e) * n + u) > 0 && deg(g.ts(e) * n + g.nU + g.uNbr(i)) > 0) {
+      us += u; vs += g.uNbr(i); ts += g.ts(e)
     }
     (us.result(), vs.result(), ts.result())
   }

@@ -27,11 +27,10 @@ import org.apache.spark.sql.DataFrame
   * Every graph comes from one builder, `fromInternal`, over packed `Int` id
   * columns: one stable counting sort orders the edges by `(u, v, t)`,
   * adjacent duplicates are dropped, and the same sort then fills each view
-  * and its offsets from that ordering. Derived graphs map the id columns and
-  * build again: `relabelV` permutes V, `collapseStatic` zeroes `t`, and
-  * GFCore's compaction drops ids without a surviving edge while keeping the
-  * survivors' relative order (so a graph numbered in label order stays in
-  * label order).
+  * and its offsets from that ordering. A derived graph maps the id columns
+  * and builds once: `relabelV` permutes V, `collapseStatic` zeroes `t`, and
+  * GFCore drops ids without a surviving edge, keeping the others' relative
+  * order or, for VFree, numbering V by degree in the same pass.
   *
   * Size bound: nT·(nU + nV) < `Int.MaxValue`, checked by the builder, so
   * the per-snapshot offsets and a per-snapshot vertex table indexed

@@ -2,14 +2,14 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.{Enumerators, GFCore, Params, VFree, Deadline}
+import repro.core.{GFCore, Params, VFree, Deadline}
 import repro.graph.TemporalBipartiteGraph
 
 /** Distributed MFG enumeration: the local pipeline plus a Spark fan-out.
   *
-  *  1. On the driver: `fromDF`, [[GFCore]] and VFree's degree reorder, the
-  *     calls [[Enumerators.vFree]] makes. The driver holds the unfiltered
-  *     graph once (about 0.86 MB for the D4 stand-in) while GFCore runs.
+  *  1. On the driver: `fromDF`, then [[GFCore.degreeOrdered]] (one build),
+  *     as in `Enumerators.vFree`. The driver holds the unfiltered graph once
+  *     (about 0.86 MB for the D4 stand-in) while GFCore runs.
   *  2. Broadcast the filtered graph to the executors.
   *  3. One seed per V vertex over a Dataset, each run with [[VFree.runSeed]]:
   *     root branches are independent and their results are globally maximal
@@ -29,7 +29,7 @@ object DistributedMfg {
     */
   def run(spark: SparkSession, edges: DataFrame, p: Params): DataFrame = {
     import spark.implicits._
-    val g = Enumerators.reorderByDegree(GFCore(TemporalBipartiteGraph.fromDF(edges), p))
+    val g = GFCore.degreeOrdered(TemporalBipartiteGraph.fromDF(edges), p)
     val bc = spark.sparkContext.broadcast(g)
     val parallelism = math.max(1, math.min(g.nV, spark.sparkContext.defaultParallelism * 2))
     spark.range(0, g.nV.toLong)

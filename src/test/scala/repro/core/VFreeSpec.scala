@@ -92,7 +92,7 @@ class VFreeSpec extends AnyFunSuite {
 
   test("search tree pinned: random(30, 30, 8, 0.5, 4242), GFCore + reorder at (2, 2, 2)") {
     val p = Params(2, 2, 2)
-    val g = Enumerators.reorderByDegree(GFCore(TestGraphs.random(30, 30, 8, 0.5, 4242), p))
+    val g = GFCore.degreeOrdered(TestGraphs.random(30, 30, 8, 0.5, 4242), p)
     val engine = new VFree(g, p, Deadline.unlimited)
     assert(engine.run().size == 27007)
     assert(engine.stats.nodes == 244790)
@@ -104,7 +104,7 @@ class VFreeSpec extends AnyFunSuite {
   test("property: run on k ∈ {1, 2, 3, 8} workers ≡ brute force, with the k = 1 counters") {
     def counters(s: EnumStats) = (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth)
     GraphGen.check(forAll(GraphGen.graphs, GraphGen.params(4)) { (g, p) =>
-      val rg = Enumerators.reorderByDegree(GFCore(g, p))
+      val rg = GFCore.degreeOrdered(g, p)
       val want = BruteForce.mfgLabels(g, p)
       val runs = Seq(1, 2, 3, 8).map { k =>
         val engine = new VFree(rg, p, Deadline.unlimited)

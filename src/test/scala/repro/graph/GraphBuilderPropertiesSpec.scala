@@ -9,11 +9,11 @@ import repro.core.{BruteForce, Enumerators, GFCore, Params}
 import repro.graph.GraphGen.{check, edges => genEdges}
 
 /** ScalaCheck properties of the one graph builder and of every graph
-  * derived through it (GFCore's compaction, `relabelV`, `reorderByDegree`,
-  * `collapseStatic`), on generated small graphs with duplicate edges,
-  * negative labels and empty edge sets; Java serialisation of a built
-  * graph; plus the edge cases an empty graph, a filter that removes
-  * everything and `|T| = 70` (two `TBits` words).
+  * derived through it (GFCore's compaction and its degree-ordered form,
+  * `relabelV`, `reorderByDegree`, `collapseStatic`), on generated small
+  * graphs with duplicate edges, negative labels and empty edge sets; Java
+  * serialisation of a built graph; plus the edge cases an empty graph, a
+  * filter that removes everything and `|T| = 70` (two `TBits` words).
   */
 class GraphBuilderPropertiesSpec extends AnyFunSuite {
 
@@ -33,6 +33,15 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
       val kept = GFCore.filterEdges(g, p).map { case (u, v, t) => (g.uLabels(u), g.vLabels(v), g.tLabels(t)) }
       val got = GraphFields(GFCore(g, p))
       val want = GraphFields(TemporalBipartiteGraph.fromEdges(kept))
+      (got == want) :| s"got $got\nwant $want"
+    })
+  }
+
+  test("GFCore.degreeOrdered ≡ reorderByDegree(GFCore.apply), field by field") {
+    check(forAll(genEdges, genParams) { (es, p) =>
+      val g = TemporalBipartiteGraph.fromEdges(es)
+      val got = GraphFields(GFCore.degreeOrdered(g, p))
+      val want = GraphFields(Enumerators.reorderByDegree(GFCore(g, p)))
       (got == want) :| s"got $got\nwant $want"
     })
   }
@@ -97,8 +106,8 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
 
   test("a filter that removes everything compacts to 0×0×0") {
     val g = TestGraphs.tiny
-    val f = GFCore(g, Params(4, 4, 4))
-    assert(f.nU == 0 && f.nV == 0 && f.nT == 0 && f.temporalEdgeCount == 0)
+    for (f <- Seq(GFCore(g, Params(4, 4, 4)), GFCore.degreeOrdered(g, Params(4, 4, 4))))
+      assert(f.nU == 0 && f.nV == 0 && f.nT == 0 && f.temporalEdgeCount == 0)
     for (name <- Enumerators.algorithmNames)
       assert(Enumerators.run(name, g, Params(4, 4, 4)).results.get == Set.empty[Set[Long]], name)
   }
