@@ -8,6 +8,17 @@ import repro.SparkSpec
   */
 class Exp1ShapeBench extends SparkSpec {
 
+  /** BK-ALG+'s search tree at each stand-in's defaults, by the name's first
+    * word: (nodes, freqChecks).
+    */
+  private val baselineCounts: Map[String, (Long, Long)] = Map(
+    "D1" -> (531L, 5174L), "D2" -> (740L, 5733L), "D3" -> (12114L, 207162L),
+    "D4" -> (134116L, 3315338L), "D5" -> (9273L, 90329L), "D6" -> (27268L, 352169L),
+    "D7" -> (17402L, 408786L), "D8" -> (27692L, 533400L), "D9" -> (28473L, 582780L),
+    "D10" -> (42539L, 1174830L), "D11" -> (27117L, 547842L), "D12" -> (12290L, 337306L),
+    "D13" -> (17643L, 700670L), "D14" -> (21960L, 1078904L), "D15" -> (97527L, 3249033L),
+  )
+
   test("Exp-1 (Fig. 5) — response-time ordering across all stand-ins") {
     val rows = Tables.exp1(spark, Datasets.all.map(_.name), budgetMs = 60000)
     println(Tables.renderExp1(rows))
@@ -20,8 +31,11 @@ class Exp1ShapeBench extends SparkSpec {
       assert(!fv.timedOut, s"${r.dataset}: FilterV timed out")
       for (o <- Seq(fvMinus, fv) if !o.timedOut)
         assert(o.results.get == vfree.results.get, s"${r.dataset}: ${o.name} result mismatch")
-      if (!bk.timedOut)
+      if (!bk.timedOut) {
         assert(bk.results.get == vfree.results.get, s"${r.dataset}: BK-ALG+ result mismatch")
+        assert((bk.stats.nodes, bk.stats.freqChecks) == baselineCounts(r.dataset.split(' ').head),
+          s"${r.dataset}: BK-ALG+ search tree changed")
+      }
       // On deep searches VFree wins by 5–10×; on the heavy-τ stand-ins the
       // post-filter searches are shallow and VFree ≈ FilterV- (±noise), so
       // the guard is a 2× envelope rather than strict dominance.

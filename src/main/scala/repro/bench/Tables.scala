@@ -155,12 +155,15 @@ object Tables {
   }
 
   def renderExp1(rows: Seq[Exp1Row]): String =
-    render("Exp-1 (Fig. 5 shape) — response time (ms), INF = over budget",
+    render("Exp-1 (Fig. 5 shape) — response time (ms) [nodes/checks], INF = over budget",
       Seq("Dataset", "BK-ALG+", "FilterV-", "FilterV", "VFree", "#MFG"),
       rows.map { r =>
-        val times = r.outcomes.map(o => if (o.timedOut) "INF" else fmt(o.stats.totalMs))
-        Seq(r.dataset) ++ times ++ Seq(r.outcomes.last.count.toString)
+        Seq(r.dataset) ++ r.outcomes.map(cell) ++ Seq(r.outcomes.last.count.toString)
       })
+
+  /** A timing cell with the run's deterministic counters: `ms [nodes/checks]`. */
+  private def cell(o: Enumerators.Outcome): String =
+    if (o.timedOut) "INF" else s"${fmt(o.stats.totalMs)} [${o.stats.nodes}/${o.stats.freqChecks}]"
 
   /** Exp-6 (Fig. 10): the candidate filtering rule and verification method
     * ablations of FilterV.
@@ -181,27 +184,29 @@ object Tables {
   def renderExp6(rows: Seq[Exp6Row]): String =
     render("Exp-6 (Fig. 10 shape) — FilterV ablations, response time (ms) [nodes/checks]",
       Seq("Dataset", "FilterV", "FilterV-FR", "FilterV-VM", "FilterV-"),
-      rows.map { r =>
-        Seq(r.dataset) ++ r.outcomes.map(o =>
-          if (o.timedOut) "INF"
-          else s"${fmt(o.stats.totalMs)} [${o.stats.nodes}/${o.stats.freqChecks}]")
-      })
+      rows.map(r => Seq(r.dataset) ++ r.outcomes.map(cell)))
 
-  /** Exp-5 (Fig. 9): GFCore pruning ratio and VFree vs VFree-. */
+  /** Exp-5 (Fig. 9): GFCore pruning ratio and VFree vs VFree-, each timed as
+    * the median of 5 alternating runs after one warm-up run of each.
+    */
   final case class Exp5Row(dataset: String, prunedPct: Double, vfreeMs: Double, vfreeMinusMs: Double)
 
   def exp5(spark: SparkSession, names: Seq[String], budgetMs: Long): Seq[Exp5Row] =
     names.map { n =>
       val spec = Datasets.byName(n)
       val g = loadGraph(spark, spec)
-      val vf = measured(Enumerators.vFree(g, spec.defaults, budgetMs = budgetMs, workers = 1))
-      val vfMinus = measured(Enumerators.vFree(g, spec.defaults, useGraphFilter = false, budgetMs = budgetMs,
-        workers = 1))
-      Exp5Row(spec.name, vf.stats.pruneRatio * 100.0, vf.stats.totalMs, vfMinus.stats.totalMs)
+      def run(useGraphFilter: Boolean) =
+        measured(Enumerators.vFree(g, spec.defaults, useGraphFilter, budgetMs, workers = 1))
+      val prunedPct = run(useGraphFilter = true).stats.pruneRatio * 100.0 // warm-up of both variants
+      run(useGraphFilter = false)
+      val (vfMs, vfMinusMs) = Seq.fill(5)((run(true).stats.totalMs, run(false).stats.totalMs)).unzip
+      Exp5Row(spec.name, prunedPct, median(vfMs), median(vfMinusMs))
     }
 
+  private def median(xs: Seq[Double]): Double = xs.sorted.apply(xs.size / 2)
+
   def renderExp5(rows: Seq[Exp5Row]): String =
-    render("Exp-5 (Fig. 9 shape) — graph filtering: edges pruned, VFree vs VFree-",
+    render("Exp-5 (Fig. 9 shape) — graph filtering: edges pruned, VFree vs VFree- (median of 5)",
       Seq("Dataset", "edges pruned", "VFree (ms)", "VFree- (ms)"),
       rows.map(r => Seq(r.dataset, fmt(r.prunedPct) + "%", fmt(r.vfreeMs), fmt(r.vfreeMinusMs))))
 

@@ -37,16 +37,6 @@ object Enumerators {
     }
   }
 
-  /** BK-ALG+ — the BK baseline on the GFCore-filtered graph. */
-  def bkAlgPlus(g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0): Outcome =
-    timed("BK-ALG+", g, budgetMs) { dl =>
-      val fg = GFCore(g, p)
-      val alg = new BkAlg(fg, p, dl)
-      val res = alg.run()
-      alg.stats.filteredEdges = fg.temporalEdgeCount
-      (res, alg.stats)
-    }
-
   /** FilterV and its ablations (graph filter always applied, as in §5). */
   def filterV(g: TemporalBipartiteGraph, p: Params,
               useCandFilter: Boolean = true, useArrayVerify: Boolean = true,
@@ -57,14 +47,21 @@ object Enumerators {
       case (true, false)  => "FilterV-VM"
       case (false, false) => "FilterV-"
     }
+    filterVKernel(name, g, p, useCandFilter, useArrayVerify, useValidCandidates = true, budgetMs)
+  }
+
+  /** The FilterV kernel on the GFCore-filtered graph; BK-ALG+ is FilterV-
+    * without the valid candidate set ([[FilterV]]).
+    */
+  private def filterVKernel(name: String, g: TemporalBipartiteGraph, p: Params, useCandFilter: Boolean,
+                            useArrayVerify: Boolean, useValidCandidates: Boolean, budgetMs: Long): Outcome =
     timed(name, g, budgetMs) { dl =>
       val fg = GFCore(g, p)
-      val alg = new FilterV(fg, p, useCandFilter, useArrayVerify, dl)
+      val alg = new FilterV(fg, p, useCandFilter, useArrayVerify, dl, useValidCandidates)
       val res = alg.run()
       alg.stats.filteredEdges = fg.temporalEdgeCount
       (res, alg.stats)
     }
-  }
 
   /** VFree on the core in degree order ([[GFCore.degreeOrdered]], one build);
     * `useGraphFilter = false` gives Exp-5's VFree- ablation, reordered only.
@@ -94,7 +91,8 @@ object Enumerators {
     */
   def run(name: String, g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0,
           workers: Int = VFree.defaultWorkers): Outcome = name match {
-    case "BK-ALG+"    => bkAlgPlus(g, p, budgetMs)
+    case "BK-ALG+"    => filterVKernel(name, g, p, useCandFilter = false, useArrayVerify = false,
+                                       useValidCandidates = false, budgetMs)
     case "FilterV"    => filterV(g, p, useCandFilter = true, useArrayVerify = true, budgetMs)
     case "FilterV-FR" => filterV(g, p, useCandFilter = false, useArrayVerify = true, budgetMs)
     case "FilterV-VM" => filterV(g, p, useCandFilter = true, useArrayVerify = false, budgetMs)

@@ -16,6 +16,11 @@ import scala.collection.mutable
   *  - when C_V* = ∅, maximality is verified via Lemma 3.3 over X_V (or, in
   *    the -VM ablations, by comparing against recorded results).
   *
+  * `useValidCandidates = false` gives a child of V_S ∪ {v} every id above v
+  * as candidates, not the later C_V* entries, and cuts no node by
+  * |V_S| + |C_V*| < τ_V; with both toggles also off this is the Bron–Kerbosch
+  * baseline BK-ALG of Section 3 (BK-ALG+ on the GFCore-filtered graph).
+  *
   * The graph filter (GFCore) is applied by [[Enumerators]] before
   * construction, matching the paper's experimental setup where every
   * algorithm gets the graph filtering technique by default.
@@ -25,18 +30,19 @@ import scala.collection.mutable
   * naive verification and result recording read without re-sorting.
   *
   * `stats.cmNanos` accumulates valid-candidate-set computation plus
-  * maximality verification time — the "FilterV-CM" quantity of Table 1.
+  * maximality verification time (BK-ALG+ too) — the "FilterV-CM" of Table 1.
   */
 final class FilterV(g: TemporalBipartiteGraph, p: Params,
                     useCandFilter: Boolean, useArrayVerify: Boolean,
-                    deadline: Deadline) {
+                    deadline: Deadline, useValidCandidates: Boolean = true) {
   val stats = new EnumStats
 
   private val tb = if (useCandFilter) new Frequency.TBits(g, p.tauU) else null
   private val checkFre = new Frequency.CheckFre(g)
   private val vsMember = new Array[Boolean](g.nV)
   private val vsStack = new Array[Int](math.max(1, g.nV)) // ascending branch ids
-  // Per-depth C_V* segments; the bottom nV entries are the root's candidates.
+  // Per-depth C_V* segments; the bottom nV entries are the root's candidates,
+  // the identity, so [v + 1, nV) is every id above v.
   private var cvStack: Array[Int] = Array.range(0, g.nV)
   // X_V: ids are distinct along a branch, so at most nV; each node resets to its mark.
   private val xv = new Array[Int](math.max(1, g.nV))
@@ -80,17 +86,17 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
   private def recordCompared(vs: Array[Int]): Unit =
     if (!results.exists(r => SortedOps.subsetOf(vs, r))) results += vs
 
-  /** One node: V_S = vsStack[0, vsLen), candidates = cvStack[cvFrom, cvEnd),
-    * the top segment; this node's C_V* goes directly above it.
+  /** One node: V_S = vsStack[0, vsLen), candidates = cvStack[cvFrom, cvEnd);
+    * this node's C_V* goes at cvStack[top, …), above every live segment.
     */
-  private def enum(us: Array[Int], vsLen: Int, tsBits: Array[Long], cvFrom: Int, cvEnd: Int): Unit = {
+  private def enum(us: Array[Int], vsLen: Int, tsBits: Array[Long], cvFrom: Int, cvEnd: Int, top: Int): Unit = {
     deadline.check(stats.nodes)
     stats.nodes += 1
 
     // --- valid candidate set computation (timed as CM) -------------------
     val t0 = System.nanoTime()
-    if (2 * cvEnd - cvFrom > cvStack.length)
-      cvStack = java.util.Arrays.copyOf(cvStack, math.max(2 * cvEnd - cvFrom, 2 * cvStack.length))
+    if (top + cvEnd - cvFrom > cvStack.length)
+      cvStack = java.util.Arrays.copyOf(cvStack, math.max(top + cvEnd - cvFrom, 2 * cvStack.length))
     val cv = cvStack // a child may replace `cvStack` when it grows; re-read after recursing
     var nCv = 0
     val cvStarUs = mutable.ArrayBuffer.empty[Array[Int]]
@@ -101,7 +107,7 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
       if (keep) {
         val usv = SortedOps.intersect(us, g.vNbr, g.vOff(v), g.vOff(v + 1))
         if (usv.length >= p.tauU && extensionFrequent(usv, v, vsLen)) {
-          cv(cvEnd + nCv) = v
+          cv(top + nCv) = v
           nCv += 1
           cvStarUs += usv
         }
@@ -110,9 +116,10 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
     }
     stats.cmNanos += System.nanoTime() - t0
 
-    if (us.length < p.tauU || vsLen + nCv < p.tauV) return
+    if (us.length < p.tauU || (useValidCandidates && vsLen + nCv < p.tauV)) return
 
     if (nCv == 0) {
+      if (vsLen < p.tauV) return
       val t1 = System.nanoTime()
       if (useArrayVerify) {
         if (maximalViaXv(us, vsLen, tsBits)) results += java.util.Arrays.copyOf(vsStack, vsLen)
@@ -123,15 +130,16 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
       return
     }
 
-    // C_V* = cvStack[cvEnd, cvEnd + nCv), ascending (candidate order preserved)
+    // C_V* = cvStack[top, top + nCv), ascending (candidate order preserved)
     val mark = xvLen
     var j = 0
     while (j < nCv) {
-      val v = cvStack(cvEnd + j)
+      val v = cvStack(top + j)
       vsMember(v) = true
       vsStack(vsLen) = v
       val childBits = if (useCandFilter) tb.and(tsBits, tb.bits(v)) else null
-      enum(cvStarUs(j), vsLen + 1, childBits, cvEnd + j + 1, cvEnd + nCv)
+      if (useValidCandidates) enum(cvStarUs(j), vsLen + 1, childBits, top + j + 1, top + nCv, top + nCv)
+      else enum(cvStarUs(j), vsLen + 1, childBits, v + 1, g.nV, top + nCv)
       vsMember(v) = false
       xv(xvLen) = v
       xvLen += 1
@@ -142,7 +150,7 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
 
   /** Runs the enumeration; returns MFGs in original-label space. */
   def run(): Set[Set[Long]] = {
-    enum(Array.range(0, g.nU), 0, if (useCandFilter) tb.full else null, 0, g.nV)
+    enum(Array.range(0, g.nU), 0, if (useCandFilter) tb.full else null, 0, g.nV, g.nV)
     results.iterator.map(_.map(g.vLabels).toSet).toSet
   }
 }

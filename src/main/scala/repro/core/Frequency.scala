@@ -3,7 +3,8 @@ package repro.core
 import repro.graph.{SortedOps, TemporalBipartiteGraph}
 
 /** Frequency-verification machinery: the naive per-timestamp intersection
-  * check (used by BK-ALG and the FilterV-VM ablation), the array-based
+  * check (FilterV's `useArrayVerify = false` path: FilterV-VM, FilterV- and
+  * BK-ALG+), the array-based
   * CheckFRE of Algorithm 3, and the T(v) bitsets behind the candidate
   * filtering rule of Lemma 3.2.
   */

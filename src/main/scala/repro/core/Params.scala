@@ -66,7 +66,6 @@ final class EnumStats extends Serializable {
     maxDepth = math.max(maxDepth, o.maxDepth)
   }
 
-  def cmMs: Double = cmNanos / 1e6
   def totalMs: Double = totalNanos / 1e6
   def cmShare: Double = if (totalNanos == 0) 0.0 else cmNanos.toDouble / totalNanos
   def pruneRatio: Double = if (inputEdges == 0) 0.0 else 1.0 - filteredEdges.toDouble / inputEdges

@@ -16,7 +16,7 @@ import org.apache.spark.sql.DataFrame
   *  - static `u → V` (`uOff`/`uNbr`, key u) with, per static edge `i`, its
   *    timestamps T(u, v) (`tsOff`/`ts`, key i): `N(u)` and CheckFRE
   *    (Algorithm 3);
-  *  - static `v → U` (`vOff`/`vNbr`, key v): `N(v)` in FilterV and BK-ALG;
+  *  - static `v → U` (`vOff`/`vNbr`, key v): `N(v)` in FilterV (BK-ALG+ too);
   *  - per-snapshot Γ(u, t) (`gUOff`/`gUNbr`, key [[keyU]] = t·nU + u) and
   *    Γ(v, t) (`gVOff`/`gVNbr`, key [[keyV]] = t·nV + v): the m-neighbour
   *    scans of GFCore (Algorithm 2) and VFree (Algorithm 4).

@@ -85,6 +85,18 @@ class EnumeratorsSpec extends AnyFunSuite {
     }
   }
 
+  test("FilterV without the valid candidate set ≡ brute force under both other toggles") {
+    for (seed <- 0 until 10; p <- Seq(Params(1, 1, 1), Params(2, 2, 2), Params(1, 3, 2))) {
+      val g = TestGraphs.random(7, 7, 4, 0.5, seed + 7000)
+      val expected = BruteForce.mfgLabels(g, p)
+      for (candFilter <- Seq(false, true); arrayVerify <- Seq(false, true)) {
+        val alg = new FilterV(GFCore(g, p), p, candFilter, arrayVerify, Deadline.unlimited,
+          useValidCandidates = false)
+        assert(alg.run() == expected, s"seed $seed, $p, useCandFilter=$candFilter, useArrayVerify=$arrayVerify")
+      }
+    }
+  }
+
   test("VFree- (no graph filter) equals VFree") {
     for (seed <- 0 until 10) {
       val g = TestGraphs.random(7, 7, 4, 0.5, seed + 6000)
