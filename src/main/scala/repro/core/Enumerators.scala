@@ -84,7 +84,7 @@ object Enumerators {
     * the builder's stable counting sort keyed by d(v) ≤ nU.
     */
   def reorderByDegree(g: TemporalBipartiteGraph): TemporalBipartiteGraph =
-    g.relabelV(TemporalBipartiteGraph.countingSort(Array.range(0, g.nV), g.nU + 1)(g.sDegV)._1)
+    g.relabelV(TemporalBipartiteGraph.countingSort(Array.range(0, g.nV), g.nU + 1, Array.tabulate(g.nV)(g.sDegV))._1)
 
   /** Dispatch by paper name (bench harness entry point); `workers` reaches
     * only the VFree variants.

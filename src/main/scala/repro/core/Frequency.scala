@@ -17,30 +17,55 @@ object Frequency {
     */
   object NaiveFreq {
 
-    /** Sorted common m-neighbors ∩_{v∈vs} Γ(v, t). */
+    /** Sorted common m-neighbors ∩_{v∈vs} Γ(v, t), as U ids; all of U for
+      * `vs` = ∅. Finds each slot by a binary search (tests and oracles).
+      */
     def commonMNeighbors(g: TemporalBipartiteGraph, vs: Array[Int], t: Int): Array[Int] = {
-      if (vs.isEmpty) return Array.range(0, g.nU)
-      var k = g.keyV(vs(0), t)
-      var acc = java.util.Arrays.copyOfRange(g.gVNbr, g.gVOff(k), g.gVOff(k + 1))
+      val slots = vs.map(g.vSlot(_, t))
+      if (vs.isEmpty) Array.range(0, g.nU)
+      else if (slots.contains(-1)) Array.emptyIntArray
+      else common(g, slots).map(g.uOfSlot)
+    }
+
+    /** ∩ of the Γ lists of V-slots of one t, as ascending U-slot ids. */
+    private def common(g: TemporalBipartiteGraph, slots: Array[Int]): Array[Int] = {
+      var acc = java.util.Arrays.copyOfRange(g.gVNbr, g.gVOff(slots(0)), g.gVOff(slots(0) + 1))
       var i = 1
-      while (i < vs.length && acc.nonEmpty) {
-        k = g.keyV(vs(i), t); acc = SortedOps.intersect(acc, g.gVNbr, g.gVOff(k), g.gVOff(k + 1)); i += 1
+      while (i < slots.length && acc.nonEmpty) {
+        acc = SortedOps.intersect(acc, g.gVNbr, g.gVOff(slots(i)), g.gVOff(slots(i) + 1)); i += 1
       }
       acc
     }
 
-    /** true iff `vs` has ≥ λ support timestamps with ≥ τ_U common m-neighbors. */
+    /** true iff `vs` (non-empty) has ≥ λ support timestamps with ≥ τ_U
+      * common m-neighbors. Only the timestamps of vs(0)'s slots can
+      * qualify; the other vertices each keep one slot cursor as t ascends.
+      */
     def isFrequent(g: TemporalBipartiteGraph, vs: Array[Int], tauU: Int, lambda: Int): Boolean = {
+      val cursor = vs.map(g.vSlotOff(_))
+      val slots = new Array[Int](vs.length)
       var found = 0
-      var t = 0
-      while (t < g.nT) {
-        if (commonMNeighbors(g, vs, t).length >= tauU) {
+      var k = g.vSlotOff(vs(0))
+      val kEnd = g.vSlotOff(vs(0) + 1)
+      while (k < kEnd) {
+        val t = g.vSlotT(k)
+        slots(0) = k
+        var present = true
+        var i = 1
+        while (i < vs.length && present) {
+          val end = g.vSlotOff(vs(i) + 1)
+          while (cursor(i) < end && g.vSlotT(cursor(i)) < t) cursor(i) += 1
+          present = cursor(i) < end && g.vSlotT(cursor(i)) == t
+          slots(i) = cursor(i)
+          i += 1
+        }
+        if (present && common(g, slots).length >= tauU) {
           found += 1
           if (found >= lambda) return true
         }
         // not enough timestamps left to still reach lambda
-        if (found + (g.nT - t - 1) < lambda) return false
-        t += 1
+        if (found + (kEnd - k - 1) < lambda) return false
+        k += 1
       }
       false
     }
@@ -102,8 +127,11 @@ object Frequency {
     /** v -> bitset of timestamps where δ(v,t) ≥ τ_U. */
     val bits: Array[Array[Long]] = Array.tabulate(g.nV) { v =>
       val b = new Array[Long](words)
-      var t = 0
-      while (t < g.nT) { if (g.mDegV(v, t) >= tauU) b(t >>> 6) |= 1L << (t & 63); t += 1 }
+      var k = g.vSlotOff(v)
+      while (k < g.vSlotOff(v + 1)) {
+        if (g.gVOff(k + 1) - g.gVOff(k) >= tauU) b(g.vSlotT(k) >>> 6) |= 1L << (g.vSlotT(k) & 63)
+        k += 1
+      }
       b
     }
 

@@ -7,22 +7,24 @@ import scala.collection.mutable
 /** The (τ_V, τ_U, λ)-core graph filter (Definition 3.2 / Algorithm 2).
   *
   * The cascade is the paper's CorePrune in O(|E|) over one flat `Int` table
-  * `deg`: slot `t·(nU+nV) + w` holds the m-degree δ(w, t) of vertex `w`
-  * (`w = u` for u ∈ U, `w = nU + v` for v ∈ V) and 0 once `w` is removed at
-  * `t`; the initial δ are the graph's offset differences. A U slot needs
-  * δ ≥ τ_V, a V slot δ ≥ τ_U, and each v must stay present at ≥ λ
-  * timestamps (its survival counter `s(v)`). A violating slot is zeroed and
-  * pushed onto an `Int` stack of slots, so each slot is pushed at most once;
-  * popping it walks its Γ(w, t) slice and decrements the present
-  * neighbours. An edge `(u, v, t)` survives iff both its slots are non-zero.
+  * `deg` indexed by slot (one non-empty (w, t), see [[TemporalBipartiteGraph]]):
+  * the U-slots first, then the V-slots. Slot k holds the m-degree δ(w, t),
+  * and 0 once w is removed at t; the initial δ are the graph's offset
+  * differences. A U-slot needs δ ≥ τ_V, a V-slot δ ≥ τ_U, and each v must
+  * stay present at ≥ λ timestamps (its survival counter `s(v)`, initially
+  * its slot count). A violating slot is zeroed and pushed onto an `Int`
+  * stack of slots, so each slot is pushed at most once; popping it walks its
+  * Γ(w, t) slice and decrements the present neighbour slots. A v that falls
+  * below λ has its contiguous slot range pruned. An edge `(u, v, t)`
+  * survives iff both its slots are non-zero.
   *
-  * Memory: the table's nT·(nU+nV) `Int`s (which the builder keeps below
-  * `Int.MaxValue`) plus a stack of at most 2·|E| slots.
+  * Memory: the table and the stack, one `Int` per slot each, at most 2·|E|
+  * (which the builder keeps below `Int.MaxValue`), plus nV counters.
   */
 object GFCore {
 
   /** Surviving temporal edges (internal ids of `g`) — Algorithm 2 — in
-    * `(u, v, t)` order.
+    * `(u, t, v)` order.
     */
   def filterEdges(g: TemporalBipartiteGraph, p: Params): Array[(Int, Int, Int)] = {
     val (us, vs, ts) = survivors(g, p)
@@ -42,8 +44,9 @@ object GFCore {
 
   private def core(g: TemporalBipartiteGraph, p: Params, byDegree: Boolean): TemporalBipartiteGraph = {
     val (us, vs, ts) = survivors(g, p)
-    val vDeg = new Array[Int](g.nV) // static degree in the core: one per run of equal (u, v)
-    for (e <- us.indices if e == 0 || us(e - 1) != us(e) || vs(e - 1) != vs(e)) vDeg(vs(e)) += 1
+    val vDeg = new Array[Int](g.nV) // static degree in the core: the edges come grouped by u
+    val lastU = Array.fill(g.nV)(-1)
+    for (e <- us.indices if lastU(vs(e)) != us(e)) { lastU(vs(e)) = us(e); vDeg(vs(e)) += 1 }
     TemporalBipartiteGraph.fromInternal(us, vs, ts, renumber(us, g.uLabels)(_ => 1),
       renumber(vs, g.vLabels, g.nU + 1)(v => if (byDegree) vDeg(v) else 1), renumber(ts, g.tLabels)(_ => 1))
   }
@@ -53,70 +56,95 @@ object GFCore {
     * constant key keeps their relative order; returns the kept labels.
     */
   private def renumber(col: Array[Int], labels: Array[Long], nKeys: Int = 2)(key: Int => Int): Array[Long] = {
-    val used = new Array[Boolean](labels.length); col.foreach(used(_) = true)
-    val (order, off) = TemporalBipartiteGraph.countingSort(Array.range(0, labels.length), nKeys)(x =>
-      if (used(x)) key(x) else 0) // the unused ids fill bucket 0
+    val keys = new Array[Int](labels.length) // the unused ids keep key 0 and fill bucket 0
+    col.foreach(x => keys(x) = key(x))
+    val (order, off) = TemporalBipartiteGraph.countingSort(Array.range(0, labels.length), nKeys, keys)
     val newId = new Array[Int](labels.length)
     for (r <- off(1) until order.length) newId(order(r)) = r - off(1)
     col.indices.foreach(i => col(i) = newId(col(i)))
     Array.tabulate(order.length - off(1))(r => labels(order(off(1) + r)))
   }
 
-  /** The surviving edges as id columns `(us, vs, ts)`, in `(u, v, t)` order: O(|E|). */
+  /** The surviving edges as id columns `(us, vs, ts)`, in `(u, t, v)` order:
+    * one walk over the U-slots, O(|E|).
+    */
   private def survivors(g: TemporalBipartiteGraph, p: Params): (Array[Int], Array[Int], Array[Int]) = {
-    val deg = cascade(g, p); val n = g.nU + g.nV
+    val deg = cascade(g, p); val nSU = g.uSlotT.length
     val us, vs, ts = new mutable.ArrayBuilder.ofInt
-    for (u <- 0 until g.nU; i <- g.uOff(u) until g.uOff(u + 1); e <- g.tsOff(i) until g.tsOff(i + 1)
-         if deg(g.ts(e) * n + u) > 0 && deg(g.ts(e) * n + g.nU + g.uNbr(i)) > 0) {
-      us += u; vs += g.uNbr(i); ts += g.ts(e)
+    var u = 0
+    while (u < g.nU) {
+      var k = g.uSlotOff(u)
+      while (k < g.uSlotOff(u + 1)) {
+        if (deg(k) > 0) {
+          var i = g.gUOff(k)
+          while (i < g.gUOff(k + 1)) {
+            if (deg(nSU + g.gUNbr(i)) > 0) { us += u; vs += g.vOfSlot(g.gUNbr(i)); ts += g.uSlotT(k) }
+            i += 1
+          }
+        }
+        k += 1
+      }
+      u += 1
     }
     (us.result(), vs.result(), ts.result())
   }
 
-  /** Algorithm 2's cascade; returns the final `deg` table. */
+  /** Algorithm 2's cascade; returns the final `deg` table (U-slots, then V-slots). */
   private def cascade(g: TemporalBipartiteGraph, p: Params): Array[Int] = {
-    val nU = g.nU; val nT = g.nT; val n = nU + g.nV
-    // m-degrees and, per v, the number of snapshots where v is present (lines 1-5)
-    val deg = new Array[Int](nT * n)
-    val s = new Array[Int](g.nV)
-    var present = 0
-    for (t <- 0 until nT; w <- 0 until n) {
-      val d = if (w < nU) g.mDegU(w, t) else g.mDegV(w - nU, t)
-      deg(t * n + w) = d
-      if (d > 0) { present += 1; if (w >= nU) s(w - nU) += 1 }
-    }
-    def tau(w: Int): Int = if (w < nU) p.tauV else p.tauU
-
-    val stack = new Array[Int](present)
+    val nSU = g.uSlotT.length
+    // m-degrees (lines 1-5): every slot is non-empty, so every entry starts ≥ 1
+    val deg = new Array[Int](nSU + g.vSlotT.length)
+    var k = 0
+    while (k < nSU) { deg(k) = g.gUOff(k + 1) - g.gUOff(k); k += 1 }
+    while (k < deg.length) { deg(k) = g.gVOff(k - nSU + 1) - g.gVOff(k - nSU); k += 1 }
+    val stack = new Array[Int](deg.length)
     var top = 0
-    def prune(slot: Int): Unit = if (deg(slot) > 0) { deg(slot) = 0; stack(top) = slot; top += 1 }
 
-    // initial violations (lines 6-11)
-    for (slot <- deg.indices) {
-      val w = slot % n
-      if (deg(slot) < tau(w) || w >= nU && s(w - nU) < p.lambda) prune(slot)
+    // initial violations (lines 6-11); s(v) is v's slot count
+    k = 0
+    while (k < nSU) { if (deg(k) < p.tauV) { deg(k) = 0; stack(top) = k; top += 1 }; k += 1 }
+    val s = new Array[Int](g.nV)
+    var v = 0
+    while (v < g.nV) {
+      s(v) = g.vSlotOff(v + 1) - g.vSlotOff(v)
+      k = nSU + g.vSlotOff(v)
+      while (k < nSU + g.vSlotOff(v + 1)) {
+        if (deg(k) < p.tauU || s(v) < p.lambda) { deg(k) = 0; stack(top) = k; top += 1 }
+        k += 1
+      }
+      v += 1
     }
     while (top > 0) {
       top -= 1
-      val t = stack(top) / n; val w = stack(top) % n; val row = t * n
+      val x = stack(top)
       // w removed at t: its present m-neighbours lose one degree (lines 18-22).
       // One that would fall below τ is pruned instead, so no slot reaches 0
       // unpushed and every V removal reaches s (τ_U = 1).
-      val (off, nbr) = if (w < nU) (g.gUOff, g.gUNbr) else (g.gVOff, g.gVNbr)
-      val k = if (w < nU) g.keyU(w, t) else g.keyV(w - nU, t)
-      val base = if (w < nU) row + nU else row
-      var i = off(k)
-      while (i < off(k + 1)) {
-        val x = base + nbr(i)
-        if (deg(x) > tau(x - row)) deg(x) -= 1 else prune(x)
+      val isU = x < nSU
+      val j = if (isU) x else x - nSU // the slot on its own side
+      val off = if (isU) g.gUOff else g.gVOff
+      val nbr = if (isU) g.gUNbr else g.gVNbr
+      val base = if (isU) nSU else 0 // a U-slot lists V-slots, a V-slot U-slots
+      val tau = if (isU) p.tauU else p.tauV
+      var i = off(j)
+      while (i < off(j + 1)) {
+        val y = base + nbr(i)
+        if (deg(y) > tau) deg(y) -= 1 else if (deg(y) > 0) { deg(y) = 0; stack(top) = y; top += 1 }
         i += 1
       }
       // survival bookkeeping (lines 23-29); u needs s ≥ 1, which holds
       // trivially. A v below λ from the start had every slot pruned above,
-      // so v crosses λ − 1 at most once.
-      if (w >= nU) {
-        s(w - nU) -= 1
-        if (s(w - nU) == p.lambda - 1) { var tt = 0; while (tt < nT) { prune(tt * n + w); tt += 1 } }
+      // so v crosses λ − 1 at most once, and then its slot range is pruned.
+      if (!isU) {
+        val w = g.vOfSlot(j)
+        s(w) -= 1
+        if (s(w) == p.lambda - 1) {
+          var y = nSU + g.vSlotOff(w)
+          while (y < nSU + g.vSlotOff(w + 1)) {
+            if (deg(y) > 0) { deg(y) = 0; stack(top) = y; top += 1 }
+            y += 1
+          }
+        }
       }
     }
     deg

@@ -77,25 +77,27 @@ object Models {
       out.toVector
     }
 
+    // cts(t): the common m-neighbours of V_S at t, as ascending U-slot ids of t
     def rec(vs: Vector[Int], cts: Array[Array[Int]], next: Int): Unit = {
       checkDeadline()
       val live = cts.count(_.length >= p.tauU)
       if (live < p.lambda) return
       if (vs.size >= p.tauV) {
-        val transactions = cts.filter(_.length >= p.tauU)
+        val transactions = cts.filter(_.length >= p.tauU).map(_.map(g.uOfSlot))
         maximalUSets(transactions).foreach(us => collected += ((us, vs)))
       }
       var v = next + 1
       while (v < g.nV) {
         val cts2 = Array.tabulate(g.nT) { t =>
-          SortedOps.intersect(cts(t), g.gVNbr, g.gVOff(g.keyV(v, t)), g.gVOff(g.keyV(v, t) + 1))
+          val k = g.vSlot(v, t)
+          if (k < 0) Array.emptyIntArray else SortedOps.intersect(cts(t), g.gVNbr, g.gVOff(k), g.gVOff(k + 1))
         }
         rec(vs :+ v, cts2, v)
         v += 1
       }
     }
 
-    rec(Vector.empty, Array.tabulate(g.nT)(t => Array.range(0, g.nU).filter(g.mDegU(_, t) > 0)), -1)
+    rec(Vector.empty, Array.tabulate(g.nT)(t => Array.range(0, g.nU).map(g.uSlot(_, t)).filter(_ >= 0)), -1)
 
     // componentwise dominance filter for pair maximality
     val all = collected.toVector

@@ -36,6 +36,9 @@ object Deadline {
   *
   * `cmNanos` is the Table 1 metric: time spent computing valid candidate
   * sets plus time spent verifying maximality ("FilterV-CM" / "VFree-CM").
+  * FilterV times both phases of each node; VFree, whose every node is one
+  * or the other, times each seed's search as one span, so its search makes
+  * no clock calls per node.
   * `step1Touches` and `step3Touches` are VFree's Theorem 4.2 cost terms as
   * deterministic counts: Γ(v, t) entries read by Step 1, and Γ(u, t)
   * entries read by Steps 3–4 and the lower-id maximality pass. `maxDepth`

@@ -14,23 +14,28 @@ import scala.jdk.CollectionConverters._
   * only the inherited survived timestamps C_T and maintain the dynamic
   * counting structures
   *
-  *  - `cntU(t·nU + u)` — m-neighbors of u inside V_S' at t, one flat array
-  *    keyed like Γ(u, t) (incrementally inherited across the recursion: +1
+  *  - `cntU(k)` — m-neighbours of u inside V_S' at t, indexed by the
+  *    U-slot k of (u, t) (incrementally inherited across the recursion: +1
   *    on entry for Γ(v,t), -1 on exit);
-  *  - `cntVT(v')`   — m-neighbors of v' inside cand_U at the timestamp being
-  *    processed (the paper's `cnt_V[t][v']`; `visitV` stamps each v' with
-  *    the pass over t that last touched it, the paper's `visit_V`, so one
-  *    |V|-sized array reused per t is equivalent);
+  *  - `cntVT(k')`   — m-neighbours of v' inside cand_U at t (the paper's
+  *    `cnt_V[t][v']`), indexed by the V-slot k' of (v', t); `visitV` stamps
+  *    each slot with the pass over t that last touched it, the paper's
+  *    `visit_V`;
   *  - `cntT(v')`    — survived timestamps of V_S' ∪ {v'}.
   *
   * The valid candidate set falls out of `cntT` with no explicit frequency
   * verification, and maximality falls out of the ascending-id processing
   * order (Theorem 4.1) with no result comparisons. V_S is ascending and v
   * is its largest id, so Step 3 counts only the v' > v: each ascending
-  * Γ(u, t) is scanned from its end down to v, and no v' there is in V_S.
-  * The lower ids v' < v matter only to Theorem 4.1's test at a would-be
-  * result (V_S' frequent, C_V* = ∅, |V_S'| ≥ τ_V), so `notRepeat` counts
-  * them there alone, stopping at the first v' that extends V_S'.
+  * Γ(u, t) is scanned from its end down to v's slot at t (within one t,
+  * slot order is vertex order), and no v' there is in V_S. The lower ids
+  * v' < v matter only to Theorem 4.1's test at a would-be result (V_S'
+  * frequent, C_V* = ∅, |V_S'| ≥ τ_V), so `notRepeat` counts them there
+  * alone, stopping at the first v' that extends V_S'. Step 1 and the
+  * restore step find v's slots by merging the ascending C_T with them; a
+  * V-slot's v (`vOfSlot`) is read only when its count reaches τ_U. The
+  * search makes no clock calls per node: [[runSeed]] times each seed as one
+  * span of `stats.cmNanos`.
   *
   * A search node allocates nothing. cand_U and cand_V are shared arrays
   * that a node fills and consumes before its first recursive call. C_T' and
@@ -38,7 +43,8 @@ import scala.jdk.CollectionConverters._
   * growable `Int` stack above its parent's; the child reads its C_T from
   * the parent's segment. V_S is an array indexed by depth.
   *
-  * Memory per engine: nT·nU + O(nU + nV) `Int`s, plus at most
+  * Memory per engine: one `Int` per U-slot, an `Int` and a `Long` per
+  * V-slot (all at most |E|) and O(nU + nV) more, plus at most
   * nT + depth·(nT + nV) stack entries; [[run]] with k workers holds k
   * engines. Depth: along a branch V_S is ascending and every subset
   * of a frequent V_S is frequent (Lemma 2.2), so at τ_V ≤ 2 every ascending
@@ -67,22 +73,29 @@ import scala.jdk.CollectionConverters._
 final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Serializable {
   val stats = new EnumStats
 
-  private val nU = g.nU
   private val gUOff = g.gUOff; private val gUNbr = g.gUNbr
   private val gVOff = g.gVOff; private val gVNbr = g.gVNbr
-  private val cntU = new Array[Int](g.nT * nU) // keyed as Γ(u, t); the builder bounds nT·(nU+nV)
-  private val cntVT = new Array[Int](g.nV)
+  private val vSlotOff = g.vSlotOff; private val vSlotT = g.vSlotT; private val vOfSlot = g.vOfSlot
+  private val cntU = new Array[Int](g.uSlotT.length)
+  private val cntVT = new Array[Int](vSlotT.length)
   private val cntT = new Array[Int](g.nV)
   private val inVS = new Array[Boolean](g.nV)
-  private val visitV = new Array[Long](g.nV) // last timestamp pass that touched v'
+  private val visitV = new Array[Long](vSlotT.length) // last timestamp pass that touched the slot
   private var pass = 0L // a Long count cannot wrap in any run, so visitV is never reset
   // Filled and consumed by one node before its first recursive call.
-  private val candU = new Array[Int](nU)
+  private val candU = new Array[Int](g.nU) // U-slots of one t
   private val candV = new Array[Int](g.nV)
   private val vs = new Array[Int](g.nV) // V_S by depth, ascending
   // Per-depth segments [C_T' | C_V*]; the bottom nT entries are the root's C_T.
   private var stack: Array[Int] = Array.range(0, g.nT)
   private val results = mutable.ArrayBuffer.empty[Array[Int]] // ascending internal ids
+
+  /** The first of v's slots in [k, kEnd) whose t is not below `t`. */
+  private def seek(k: Int, kEnd: Int, t: Int): Int = {
+    var j = k
+    while (j < kEnd && vSlotT(j) < t) j += 1
+    j
+  }
 
   /** One iteration of the `for v ∈ C_V` loop of VerifyFreeMFG: extends
     * V_S = vs[0, depth) with `v`, using the inherited survived timestamps
@@ -91,7 +104,6 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   private def branch(v: Int, depth: Int, ctOff: Int, ctLen: Int, base: Int): Unit = {
     deadline.check(stats.nodes)
     stats.nodes += 1
-    val t0 = System.nanoTime()
     val vsSize2 = depth + 1
     if (vsSize2 > stats.maxDepth) stats.maxDepth = vsSize2
     inVS(v) = true
@@ -104,48 +116,55 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     var nCandV = 0
     var touch1 = 0L
     var touch3 = 0L
+    val kEnd = vSlotOff(v + 1)
+    var k = vSlotOff(v) // v's slot cursor, merged with the ascending C_T
     var ti = 0
-    while (ti < ctLen) {
+    while (ti < ctLen && k < kEnd) {
       val t = st(ctOff + ti)
-      val row = g.keyU(0, t) // Γ(u, t) and cntU are keyed row + u
-      // Step 1: ascertain from U — common m-neighbors of V_S' at t.
-      var nCandU = 0
-      var i = gVOff(g.keyV(v, t))
-      val end = gVOff(g.keyV(v, t) + 1)
-      touch1 += end - i
-      while (i < end) {
-        val u = gVNbr(i)
-        val c = cntU(row + u) + 1
-        cntU(row + u) = c
-        if (c == vsSize2) { candU(nCandU) = u; nCandU += 1 }
-        i += 1
-      }
-      // Step 2: termination check — survived timestamp?
-      if (nCandU >= p.tauU) {
-        st(base + nCt) = t
-        nCt += 1
-        // Step 3: reverse-ascertain from V over the suffix v' > v of each
-        // ascending Γ(u, t); Step 4: survived count update.
-        pass += 1
-        var ci = 0
-        while (ci < nCandU) {
-          val lo = gUOff(row + candU(ci))
-          val hi = gUOff(row + candU(ci) + 1)
-          var j = hi - 1
-          while (j >= lo && gUNbr(j) > v) {
-            val v2 = gUNbr(j)
-            val c =
-              if (visitV(v2) != pass) { visitV(v2) = pass; cntVT(v2) = 1; 1 }
-              else { cntVT(v2) += 1; cntVT(v2) }
-            if (c == p.tauU) {
-              if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
-              cntT(v2) += 1
-            }
-            j -= 1
-          }
-          touch3 += hi - 1 - j
-          ci += 1
+      k = seek(k, kEnd, t)
+      if (k < kEnd && vSlotT(k) == t) {
+        // Step 1: ascertain from U — common m-neighbors of V_S' at t.
+        var nCandU = 0
+        var i = gVOff(k)
+        val end = gVOff(k + 1)
+        touch1 += end - i
+        while (i < end) {
+          val su = gVNbr(i)
+          val c = cntU(su) + 1
+          cntU(su) = c
+          if (c == vsSize2) { candU(nCandU) = su; nCandU += 1 }
+          i += 1
         }
+        // Step 2: termination check — survived timestamp?
+        if (nCandU >= p.tauU) {
+          st(base + nCt) = t
+          nCt += 1
+          // Step 3: reverse-ascertain from V over the suffix v' > v (slots
+          // above v's slot k) of each ascending Γ(u, t); Step 4: survived
+          // count update.
+          pass += 1
+          var ci = 0
+          while (ci < nCandU) {
+            val lo = gUOff(candU(ci))
+            val hi = gUOff(candU(ci) + 1)
+            var j = hi - 1
+            while (j >= lo && gUNbr(j) > k) {
+              val s2 = gUNbr(j)
+              val c =
+                if (visitV(s2) != pass) { visitV(s2) = pass; cntVT(s2) = 1; 1 }
+                else { cntVT(s2) += 1; cntVT(s2) }
+              if (c == p.tauU) {
+                val v2 = vOfSlot(s2)
+                if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
+                cntT(v2) += 1
+              }
+              j -= 1
+            }
+            touch3 += hi - 1 - j
+            ci += 1
+          }
+        }
+        k += 1
       }
       ti += 1
     }
@@ -153,18 +172,17 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     // Valid candidate set from cntT.
     val cvOff = base + nCt
     var nCv = 0
-    var k = 0
-    while (k < nCandV) {
-      val v2 = candV(k)
+    var c = 0
+    while (c < nCandV) {
+      val v2 = candV(c)
       if (cntT(v2) >= p.lambda) { st(cvOff + nCv) = v2; nCv += 1 }
       cntT(v2) = 0
-      k += 1
+      c += 1
     }
     val frequent = nCt >= p.lambda
     stats.step1Touches += touch1
     stats.step3Touches += touch3
     val emit = frequent && nCv == 0 && vsSize2 >= p.tauV && notRepeat(v, vsSize2, base, nCt)
-    stats.cmNanos += System.nanoTime() - t0
 
     if (frequent && vsSize2 + nCv >= p.tauV && nCv > 0) {
       java.util.Arrays.sort(st, cvOff, cvOff + nCv) // ascending processing order
@@ -173,53 +191,59 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     }
     if (emit) results += java.util.Arrays.copyOf(vs, vsSize2)
 
-    // Restore cntU so siblings/parents see the state for V_S alone.
-    val t1 = System.nanoTime()
-    var ri = 0
-    while (ri < ctLen) {
-      val t = stack(ctOff + ri)
-      val row = g.keyU(0, t)
-      var i = gVOff(g.keyV(v, t))
-      val end = gVOff(g.keyV(v, t) + 1)
-      while (i < end) { cntU(row + gVNbr(i)) -= 1; i += 1 }
-      ri += 1
+    // Restore cntU so siblings/parents see the state for V_S alone: the
+    // same merge of C_T with v's slots as Step 1.
+    k = vSlotOff(v)
+    ti = 0
+    while (ti < ctLen && k < kEnd) {
+      val t = stack(ctOff + ti)
+      k = seek(k, kEnd, t)
+      if (k < kEnd && vSlotT(k) == t) {
+        var i = gVOff(k)
+        while (i < gVOff(k + 1)) { cntU(gVNbr(i)) -= 1; i += 1 }
+        k += 1
+      }
+      ti += 1
     }
-    stats.cmNanos += System.nanoTime() - t1
     inVS(v) = false
   }
 
   /** Theorem 4.1 at a would-be result V_S' = vs[0, size) whose largest id
     * is `v`: true unless some v' < v outside V_S has τ_U common m-neighbors
     * with V_S' at λ of its survived timestamps stack[ctOff, ctOff + nCt).
-    * Steps 3–4 over the prefix v' < v of each Γ(u, t), stopping at the
-    * first v' to reach λ. `cntU` still holds V_S' and `candV` is free, so
-    * cand_U is read off `cntU` and `candV` lists the v' whose `cntT` this
-    * pass raised; it zeroes them before returning.
+    * Steps 3–4 over the prefix v' < v (slots below v's) of each Γ(u, t),
+    * stopping at the first v' to reach λ; a v' in V_S is skipped when its
+    * count reaches τ_U, the only point where it could matter. `cntU` still
+    * holds V_S' and `candV` is free, so cand_U is read off `cntU` and
+    * `candV` lists the v' whose `cntT` this pass raised; it zeroes them
+    * before returning.
     */
   private def notRepeat(v: Int, size: Int, ctOff: Int, nCt: Int): Boolean = {
     var touched = 0
     var touch3 = 0L
     var extended = false
+    val kEnd = vSlotOff(v + 1)
+    var k = vSlotOff(v)
     var ti = 0
     while (ti < nCt && !extended) {
-      val t = stack(ctOff + ti)
-      val row = g.keyU(0, t)
+      k = seek(k, kEnd, stack(ctOff + ti)) // v has a slot at every survived t
       pass += 1
-      var i = gVOff(g.keyV(v, t))
-      val end = gVOff(g.keyV(v, t) + 1)
+      var i = gVOff(k)
+      val end = gVOff(k + 1)
       while (i < end && !extended) {
-        val u = gVNbr(i)
-        if (cntU(row + u) == size) { // u ∈ cand_U
-          val lo = gUOff(row + u)
-          val hi = gUOff(row + u + 1)
+        val su = gVNbr(i)
+        if (cntU(su) == size) { // u ∈ cand_U
+          val lo = gUOff(su)
+          val hi = gUOff(su + 1)
           var j = lo
-          while (j < hi && gUNbr(j) < v && !extended) {
-            val v2 = gUNbr(j)
-            if (!inVS(v2)) {
-              val c =
-                if (visitV(v2) != pass) { visitV(v2) = pass; cntVT(v2) = 1; 1 }
-                else { cntVT(v2) += 1; cntVT(v2) }
-              if (c == p.tauU) {
+          while (j < hi && gUNbr(j) < k && !extended) {
+            val s2 = gUNbr(j)
+            val c =
+              if (visitV(s2) != pass) { visitV(s2) = pass; cntVT(s2) = 1; 1 }
+              else { cntVT(s2) += 1; cntVT(s2) }
+            if (c == p.tauU) {
+              val v2 = vOfSlot(s2)
+              if (!inVS(v2)) {
                 if (cntT(v2) == 0) { candV(touched) = v2; touched += 1 }
                 cntT(v2) += 1
                 extended = cntT(v2) >= p.lambda
@@ -233,8 +257,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
       }
       ti += 1
     }
-    var k = 0
-    while (k < touched) { cntT(candV(k)) = 0; k += 1 }
+    var c = 0
+    while (c < touched) { cntT(candV(c)) = 0; c += 1 }
     stats.step3Touches += touch3
     !extended
   }
@@ -278,11 +302,15 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     * id). Root branches are independent and their union over all seeds is
     * the complete result, so seeds can be processed in any order / on any
     * executor. Counting arrays return to their zero state after each seed,
-    * so one VFree instance can serve many seeds sequentially.
+    * so one VFree instance can serve many seeds sequentially. The seed's
+    * whole search is one span of `stats.cmNanos`: every VFree node computes
+    * candidates or checks maximality (Table 1's VFree-CM).
     */
   def runSeed(seed: Int): Vector[Set[Long]] = {
     results.clear() // keep per-seed memory flat
+    val t0 = System.nanoTime()
     branch(seed, 0, 0, g.nT, g.nT)
+    stats.cmNanos += System.nanoTime() - t0
     results.iterator.map(_.map(g.vLabels).toSet).toVector
   }
 }

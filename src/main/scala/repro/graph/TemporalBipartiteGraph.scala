@@ -17,12 +17,21 @@ import org.apache.spark.sql.DataFrame
   *    timestamps T(u, v) (`tsOff`/`ts`, key i): `N(u)` and CheckFRE
   *    (Algorithm 3);
   *  - static `v → U` (`vOff`/`vNbr`, key v): `N(v)` in FilterV (BK-ALG+ too);
-  *  - per-snapshot Γ(u, t) (`gUOff`/`gUNbr`, key [[keyU]] = t·nU + u) and
-  *    Γ(v, t) (`gVOff`/`gVNbr`, key [[keyV]] = t·nV + v): the m-neighbour
-  *    scans of GFCore (Algorithm 2) and VFree (Algorithm 4).
+  *  - per-snapshot Γ(u, t) and Γ(v, t), keyed by slot: the m-neighbour scans
+  *    of GFCore (Algorithm 2) and VFree (Algorithm 4).
   *
-  * Degrees are offset differences. Size in `Int`s: nT·(nU+nV) + nU + nV +
-  * 3·|E_static| + 3·|E| + O(1), plus the labels.
+  * A slot is one non-empty (w, t) pair. Each side numbers its slots in
+  * (w, t) order, so one vertex's slots are contiguous, `uSlotOff(u) until
+  * uSlotOff(u + 1)` (`vSlotOff` for v) in ascending t (`uSlotT`/`vSlotT`),
+  * and within one t slot order is vertex order. Γ(u, t) of U-slot k is
+  * `gUNbr(gUOff(k) until gUOff(k + 1))` and lists V-slot ids; Γ(v, t) of
+  * V-slot k (`gVOff`/`gVNbr`) lists U-slot ids. Both are ascending, so two
+  * lists of one t intersect by id. `vOfSlot` maps a V-slot to its v; a
+  * U-slot's u is found by [[uOfSlot]], a binary search.
+  *
+  * Degrees are offset differences. Size in `Int`s: 2·(nU + nV) +
+  * 3·|E_static| + 3·|E| + 2·S_U + 3·S_V + O(1), plus the labels, where
+  * S_U, S_V ≤ |E| are the two slot counts.
   *
   * Every graph comes from one builder, `fromInternal`, over packed `Int` id
   * columns: one stable counting sort orders the edges by `(u, v, t)`,
@@ -32,9 +41,9 @@ import org.apache.spark.sql.DataFrame
   * GFCore drops ids without a surviving edge, keeping the others' relative
   * order or, for VFree, numbering V by degree in the same pass.
   *
-  * Size bound: nT·(nU + nV) < `Int.MaxValue`, checked by the builder, so
-  * the per-snapshot offsets and a per-snapshot vertex table indexed
-  * `t·(nU + nV) + w` (GFCore's) have `Int` sizes and indices.
+  * Size bound: |E| ≤ [[TemporalBipartiteGraph.MaxEdges]] distinct temporal
+  * edges, checked by the builder, so the S_U + S_V ≤ 2·|E| slots of both
+  * sides (GFCore's table and stack) have `Int` sizes and indices.
   *
   * The class is immutable and `Serializable` so it can be broadcast to
   * executors for the distributed enumeration.
@@ -46,8 +55,9 @@ final class TemporalBipartiteGraph private (
     val uOff: Array[Int], val uNbr: Array[Int],
     val tsOff: Array[Int], val ts: Array[Int],
     val vOff: Array[Int], val vNbr: Array[Int],
-    val gUOff: Array[Int], val gUNbr: Array[Int],
-    val gVOff: Array[Int], val gVNbr: Array[Int],
+    val uSlotOff: Array[Int], val uSlotT: Array[Int], val gUOff: Array[Int], val gUNbr: Array[Int],
+    val vSlotOff: Array[Int], val vSlotT: Array[Int], val gVOff: Array[Int], val gVNbr: Array[Int],
+    val vOfSlot: Array[Int],
     /** internal u id -> original label. */
     val uLabels: Array[Long],
     /** internal v id -> original label. */
@@ -62,11 +72,18 @@ final class TemporalBipartiteGraph private (
   /** Number of distinct static edges `(u, v)`. */
   def staticEdgeCount: Long = uNbr.length
 
-  /** Key of Γ(u, t) in `gUOff`. */
-  def keyU(u: Int, t: Int): Int = t * nU + u
+  /** U-slot of (u, t), or −1 if Γ(u, t) is empty: a binary search. */
+  def uSlot(u: Int, t: Int): Int = java.util.Arrays.binarySearch(uSlotT, uSlotOff(u), uSlotOff(u + 1), t) max -1
 
-  /** Key of Γ(v, t) in `gVOff`. */
-  def keyV(v: Int, t: Int): Int = t * nV + v
+  /** V-slot of (v, t), or −1 if Γ(v, t) is empty: a binary search. */
+  def vSlot(v: Int, t: Int): Int = java.util.Arrays.binarySearch(vSlotT, vSlotOff(v), vSlotOff(v + 1), t) max -1
+
+  /** The u of U-slot `k`: the last u with `uSlotOff(u) ≤ k`, a binary search. */
+  def uOfSlot(k: Int): Int = {
+    var lo = 0; var hi = nU - 1
+    while (lo < hi) { val m = (lo + hi + 1) >>> 1; if (uSlotOff(m) <= k) lo = m else hi = m - 1 }
+    lo
+  }
 
   /** Structural degree d(v, G) for v ∈ V. */
   def sDegV(v: Int): Int = vOff(v + 1) - vOff(v)
@@ -75,10 +92,10 @@ final class TemporalBipartiteGraph private (
   def sDegU(u: Int): Int = uOff(u + 1) - uOff(u)
 
   /** Momentary degree δ(v, t) for v ∈ V. */
-  def mDegV(v: Int, t: Int): Int = gVOff(keyV(v, t) + 1) - gVOff(keyV(v, t))
+  def mDegV(v: Int, t: Int): Int = { val k = vSlot(v, t); if (k < 0) 0 else gVOff(k + 1) - gVOff(k) }
 
   /** Momentary degree δ(u, t) for u ∈ U. */
-  def mDegU(u: Int, t: Int): Int = gUOff(keyU(u, t) + 1) - gUOff(keyU(u, t))
+  def mDegU(u: Int, t: Int): Int = { val k = uSlot(u, t); if (k < 0) 0 else gUOff(k + 1) - gUOff(k) }
 
   /** All temporal edges as packed id columns `(us, vs, ts)`, in `(u, v, t)` order. */
   private def columns: (Array[Int], Array[Int], Array[Int]) = {
@@ -153,64 +170,100 @@ object TemporalBipartiteGraph {
     s.indices.collect { case i if i == 0 || s(i - 1) != s(i) => s(i) }.toArray
   }
 
-  /** Stable counting sort of `idx` by `key(e)` ∈ `[0, n)`: the sorted
+  /** Stable counting sort of `idx` by `key(idx(i))` ∈ `[0, n)`: the sorted
     * indices and the n + 1 bucket offsets (bucket k is `[off(k), off(k + 1))`).
     */
-  private[repro] def countingSort(idx: Array[Int], n: Int)(key: Int => Int): (Array[Int], Array[Int]) = {
+  private[repro] def countingSort(idx: Array[Int], n: Int, key: Array[Int]): (Array[Int], Array[Int]) = {
     val off = new Array[Int](n + 1); val out = new Array[Int](idx.length)
-    for (i <- idx.indices) off(key(idx(i)) + 1) += 1
-    for (k <- 0 until n) off(k + 1) += off(k)
+    var i = 0
+    while (i < idx.length) { off(key(idx(i)) + 1) += 1; i += 1 }
+    var k = 0
+    while (k < n) { off(k + 1) += off(k); k += 1 }
     val next = java.util.Arrays.copyOf(off, n)
-    for (i <- idx.indices) { val k = key(idx(i)); out(next(k)) = idx(i); next(k) += 1 }
+    i = 0
+    while (i < idx.length) { val b = key(idx(i)); out(next(b)) = idx(i); next(b) += 1; i += 1 }
     (out, off)
   }
+
+  /** Most distinct temporal edges a graph may hold, so that the at most
+    * 2·|E| slots of both sides have `Int` ids.
+    */
+  val MaxEdges: Int = Int.MaxValue / 2
 
   /** The one builder. Edge `e` is `(us(e), vs(e), ts(e))` in internal ids;
     * the label arrays fix `nU`/`nV`/`nT`, so isolated vertices and empty
     * timestamps are allowed. Duplicate edges are dropped; the columns are
-    * only read. O(|E| + nT·(nU + nV)). Rejects nT·(nU + nV) ≥ `Int.MaxValue`.
+    * only read. O(|E| + nU + nV + nT). Rejects more than [[MaxEdges]]
+    * distinct temporal edges.
     */
   private[repro] def fromInternal(us: Array[Int], vs: Array[Int], ts: Array[Int],
                                   uLabels: Array[Long], vLabels: Array[Long],
                                   tLabels: Array[Long]): TemporalBipartiteGraph = {
     val nU = uLabels.length; val nV = vLabels.length; val nT = tLabels.length
-    require(nT.toLong * (nU.toLong + nV) < Int.MaxValue,
-      s"graph too large: nT·(nU+nV) = ${nT}·(${nU}+${nV}) must be below Int.MaxValue = ${Int.MaxValue}")
     require(vs.length == us.length && ts.length == us.length, "id columns differ in length")
     for (e <- us.indices)
       require(us(e) >= 0 && us(e) < nU && vs(e) >= 0 && vs(e) < nV && ts(e) >= 0 && ts(e) < nT,
         s"edge out of range: (${us(e)},${vs(e)},${ts(e)})")
 
     // (u, v, t) order, least significant key first. Keep the first edge of
-    // each run of equal triples (`te`, with its static edge `sOf`) and the
-    // first of each run of equal (u, v) (`se`, the static edges).
-    val byT = countingSort(Array.range(0, us.length), nT)(ts(_))._1
-    val ord = countingSort(countingSort(byT, nV)(vs(_))._1, nU)(us(_))._1
-    val te, sOf, se = new Array[Int](ord.length)
-    var nTe, nSe = 0; var p = -1
-    for (i <- ord.indices) {
+    // each run of equal triples (the temporal edges kU/kV/kT, with their
+    // static edge sOf) and the first of each run of equal (u, v) (the static
+    // edges sU/sV).
+    val ord = countingSort(countingSort(countingSort(Array.range(0, us.length), nT, ts)._1, nV, vs)._1, nU, us)._1
+    val kU, kV, kT, sOf, sU, sV = new Array[Int](ord.length)
+    var nTe, nSe, i = 0; var p = -1
+    while (i < ord.length) {
       val e = ord(i)
       val newStatic = p < 0 || us(p) != us(e) || vs(p) != vs(e)
-      if (newStatic) { se(nSe) = e; nSe += 1 }
-      if (newStatic || ts(p) != ts(e)) { te(nTe) = e; sOf(nTe) = nSe - 1; nTe += 1 }
-      p = e
+      if (newStatic) { sU(nSe) = us(e); sV(nSe) = vs(e); nSe += 1 }
+      if (newStatic || ts(p) != ts(e)) { kU(nTe) = us(e); kV(nTe) = vs(e); kT(nTe) = ts(e); sOf(nTe) = nSe - 1; nTe += 1 }
+      p = e; i += 1
     }
+    require(nTe <= MaxEdges, s"graph too large: $nTe distinct temporal edges, more than MaxEdges = $MaxEdges")
 
-    // Each view sorts the kept edges, already in (u, v, t) order, by its
-    // key; the sort is stable, so every list comes out ascending.
-    def view(m: Int, n: Int)(key: Int => Int, value: Int => Int): (Array[Int], Array[Int]) = {
-      val (nbr, off) = countingSort(Array.range(0, m), n)(key) // kept-edge indices, then their values
-      for (i <- 0 until m) nbr(i) = value(nbr(i))
+    // Each view sorts the first m kept edges, already in (u, v, t) order, by
+    // its key; the sort is stable, so every list comes out ascending.
+    def view(m: Int, n: Int, key: Array[Int], value: Array[Int]): (Array[Int], Array[Int]) = {
+      val (nbr, off) = countingSort(Array.range(0, m), n, key) // kept-edge indices, then their values
+      var i = 0
+      while (i < m) { nbr(i) = value(nbr(i)); i += 1 }
       (off, nbr)
     }
-    val (uOff, uNbr) = view(nSe, nU)(i => us(se(i)), i => vs(se(i)))
-    val (tsOff, tsOf) = view(nTe, nSe)(sOf(_), i => ts(te(i)))
-    val (vOff, vNbr) = view(nSe, nV)(i => vs(se(i)), i => us(se(i)))
-    def snapshots(n: Int, side: Array[Int], other: Array[Int]) = // keyed t·n + w, as keyU and keyV
-      view(nTe, nT * n)(i => ts(te(i)) * n + side(te(i)), i => other(te(i)))
-    val (gUOff, gUNbr) = snapshots(nU, us, vs)
-    val (gVOff, gVNbr) = snapshots(nV, vs, us)
-    new TemporalBipartiteGraph(nU, nV, nT, uOff, uNbr, tsOff, tsOf, vOff, vNbr, gUOff, gUNbr, gVOff, gVNbr,
-      uLabels, vLabels, tLabels)
+    val (uOff, uNbr) = view(nSe, nU, sU, sV)
+    val (tsOff, tsOf) = view(nTe, nSe, sOf, kT)
+    val (vOff, vNbr) = view(nSe, nV, sV, sU)
+
+    // Slots: the kept edges in (t, u, v) order, then stably by one side's
+    // vertex w, give (w, t, other) order, where each run of one (w, t) is a
+    // slot and lists its other ends ascending. Returns that order, each kept
+    // edge's slot, the slot range of each w, and per slot its t and its
+    // offset in the order.
+    val keptByT = countingSort(Array.range(0, nTe), nT, kT)._1
+    def slots(n: Int, side: Array[Int]) = {
+      val order = countingSort(keptByT, n, side)._1
+      val slotOf = new Array[Int](nTe); val slotOff = new Array[Int](n + 1)
+      val gOff = new Array[Int](nTe + 1); val slotT = new Array[Int](nTe)
+      var nS = 0
+      var r = 0
+      while (r < nTe) {
+        val i = order(r)
+        if (r == 0 || slotT(nS - 1) != kT(i) || side(order(r - 1)) != side(i)) {
+          gOff(nS) = r; slotT(nS) = kT(i); slotOff(side(i) + 1) += 1; nS += 1
+        }
+        slotOf(i) = nS - 1
+        r += 1
+      }
+      gOff(nS) = nTe
+      var w = 0
+      while (w < n) { slotOff(w + 1) += slotOff(w); w += 1 }
+      (order, slotOf, slotOff, java.util.Arrays.copyOf(slotT, nS), java.util.Arrays.copyOf(gOff, nS + 1))
+    }
+    val (ordU, uSlotOf, uSlotOff, uSlotT, gUOff) = slots(nU, kU)
+    val (ordV, vSlotOf, vSlotOff, vSlotT, gVOff) = slots(nV, kV)
+    val gUNbr, gVNbr = new Array[Int](nTe)
+    for (r <- 0 until nTe) { gUNbr(r) = vSlotOf(ordU(r)); gVNbr(r) = uSlotOf(ordV(r)) }
+    val vOfSlot = Array.tabulate(vSlotT.length)(k => kV(ordV(gVOff(k))))
+    new TemporalBipartiteGraph(nU, nV, nT, uOff, uNbr, tsOff, tsOf, vOff, vNbr,
+      uSlotOff, uSlotT, gUOff, gUNbr, vSlotOff, vSlotT, gVOff, gVNbr, vOfSlot, uLabels, vLabels, tLabels)
   }
 }

@@ -9,7 +9,7 @@ import repro.graph.TemporalBipartiteGraph
   *
   *  1. On the driver: `fromDF`, then [[GFCore.degreeOrdered]] (one build),
   *     as in `Enumerators.vFree`. The driver holds the unfiltered graph once
-  *     (about 0.86 MB for the D4 stand-in) while GFCore runs.
+  *     (about 0.85 MB for the D4 stand-in) while GFCore runs.
   *  2. Broadcast the filtered graph to the executors.
   *  3. One seed per V vertex over a Dataset, each run with [[VFree.runSeed]]:
   *     root branches are independent and their results are globally maximal

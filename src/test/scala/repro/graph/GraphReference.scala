@@ -13,12 +13,14 @@ final case class GraphFields(
 object GraphFields {
   def apply(g: TemporalBipartiteGraph): GraphFields = {
     def list(off: Array[Int], nbr: Array[Int], k: Int): Seq[Int] = nbr.slice(off(k), off(k + 1)).toSeq
+    // Γ(w, t) through w's slot at t (−1: empty), mapped from slot ids back to vertex ids
+    def slotList(off: Array[Int], nbr: Array[Int], k: Int): Seq[Int] = if (k < 0) Seq.empty else list(off, nbr, k)
     GraphFields(g.nU, g.nV, g.nT, g.uLabels.toSeq, g.vLabels.toSeq, g.tLabels.toSeq,
       Vector.tabulate(g.nU)(list(g.uOff, g.uNbr, _)),
       Vector.tabulate(g.nU)(u => (g.uOff(u) until g.uOff(u + 1)).map(list(g.tsOff, g.ts, _))),
       Vector.tabulate(g.nV)(list(g.vOff, g.vNbr, _)),
-      Vector.tabulate(g.nT, g.nU)((t, u) => list(g.gUOff, g.gUNbr, g.keyU(u, t))),
-      Vector.tabulate(g.nT, g.nV)((t, v) => list(g.gVOff, g.gVNbr, g.keyV(v, t))))
+      Vector.tabulate(g.nT, g.nU)((t, u) => slotList(g.gUOff, g.gUNbr, g.uSlot(u, t)).map(g.vOfSlot(_))),
+      Vector.tabulate(g.nT, g.nV)((t, v) => slotList(g.gVOff, g.gVNbr, g.vSlot(v, t)).map(g.uOfSlot)))
   }
 }
 

@@ -3,6 +3,7 @@ package repro.graph
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
+import repro.core.{Enumerators, GFCore, Params}
 
 class TemporalBipartiteGraphSpec extends AnyFunSuite {
 
@@ -85,14 +86,17 @@ class TemporalBipartiteGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("fromInternal rejects nT·(nU+nV) > Int.MaxValue, naming the bound") {
-    // 65,536 · (32,768 + 0) = 2^31: one past the bound, with no edges at all
+  test("an edgeless 2^16 × 2^15 graph builds and yields ∅") {
+    // 65,536 timestamps × 32,768 U vertices, nT·(nU + nV) = 2^31: no table is
+    // sized by it, so only |E| bounds the graph; GFCore and VFree find ∅
     val e = Array.emptyIntArray
-    val err = intercept[IllegalArgumentException] {
-      TemporalBipartiteGraph.fromInternal(e, e, e, new Array[Long](32768), Array.emptyLongArray,
-        new Array[Long](65536))
-    }
-    assert(err.getMessage.contains("Int.MaxValue"), err.getMessage)
+    val h = TemporalBipartiteGraph.fromInternal(e, e, e, new Array[Long](32768), Array.emptyLongArray,
+      new Array[Long](65536))
+    assert(h.nT == 65536 && h.nU == 32768 && h.temporalEdgeCount == 0)
+    val p = Params(1, 1, 1)
+    assert(GFCore.filterEdges(h, p).isEmpty && GFCore(h, p).temporalEdgeCount == 0)
+    assert(Enumerators.vFree(h, p).results.contains(Set.empty))
+    assert(Enumerators.vFree(h, p, useGraphFilter = false).results.contains(Set.empty))
   }
 
   for (seed <- 0 until 10) {
