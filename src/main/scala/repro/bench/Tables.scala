@@ -17,10 +17,16 @@ object Tables {
   def loadGraph(spark: SparkSession, spec: Datasets.DatasetSpec): TemporalBipartiteGraph =
     TemporalBipartiteGraph.fromDF(spec.edges(spark))
 
-  /** One timed enumeration, run after a full GC so that the previous run's
-    * garbage is not collected inside this run's timer.
+  /** Warm medians of `runs`: one untimed round of them all warms the JIT
+    * up, then `rounds` alternating rounds time each run after a full GC (so
+    * the previous run's garbage is not collected inside its timer). Returns
+    * each run's median outcome by total time, a run over budget ranked slowest.
     */
-  private def measured(run: => Enumerators.Outcome): Enumerators.Outcome = { System.gc(); run }
+  private def warmMedians(rounds: Int, runs: Seq[() => Enumerators.Outcome]): Seq[Enumerators.Outcome] = {
+    runs.foreach(_())
+    val outcomes = Seq.fill(rounds)(runs.map { run => System.gc(); run() }).transpose
+    outcomes.map(_.sortBy(o => (o.timedOut, o.stats.totalNanos)).apply(rounds / 2))
+  }
 
   def fmt(d: Double): String = f"$d%.2f"
 
@@ -54,14 +60,16 @@ object Tables {
     Params(10, 6, 10) -> (86.68, 248.64, 9.04),
   )
 
+  /** Each setting's FilterV and VFree (one worker) run, as warm medians of
+    * 3 rounds over all four settings.
+    */
   def table1(spark: SparkSession, budgetMs: Long = 0): Seq[Table1Row] = {
     val g = loadGraph(spark, Datasets.byName("D14"))
-    // JIT warm-up at the tightest setting so the measured loop is steady-state
-    Enumerators.filterV(g, table1Settings.last, budgetMs = budgetMs)
-    Enumerators.vFree(g, table1Settings.last, budgetMs = budgetMs, workers = 1)
-    table1Settings.map { p =>
-      val fv = measured(Enumerators.filterV(g, p, budgetMs = budgetMs))
-      val vf = measured(Enumerators.vFree(g, p, budgetMs = budgetMs, workers = 1))
+    val runs = table1Settings.flatMap(p => Seq(() => Enumerators.filterV(g, p, budgetMs = budgetMs),
+                                               () => Enumerators.vFree(g, p, budgetMs = budgetMs, workers = 1)))
+    val medians = warmMedians(3, runs)
+    table1Settings.zipWithIndex.map { case (p, i) =>
+      val (fv, vf) = (medians(2 * i), medians(2 * i + 1))
       Table1Row(p,
         filterVCmShare = fv.stats.cmShare * 100.0,
         filterVCmSec = fv.stats.cmNanos / 1e9,
@@ -78,7 +86,7 @@ object Tables {
     val header = Seq("(tauU,tauV,lambda)", "FilterV-CM (%)", "FilterV-CM (s)", "VFree-CM (s)",
                      "paper CM%", "paper FilterV-CM", "paper VFree-CM", "#MFG",
                      "FV nodes", "FV checks", "VF nodes")
-    render("Table 1 — FilterV vs VFree: valid-candidate + maximality cost on D14 stand-in",
+    render("Table 1 — FilterV vs VFree: valid-candidate + maximality cost on D14 stand-in (median of 3)",
       header,
       rows.map { r =>
         val (pc, pf, pv) = table1Paper(r.params)
@@ -142,10 +150,8 @@ object Tables {
 
   // -------------------------------------------------- figure-shaped benches
 
-  /** Exp-1 (Fig. 5): response time of the four headline algorithms. Per
-    * stand-in, one untimed round of all four warms the JIT up; each
-    * algorithm's outcome is then its median of 3 alternating rounds, with a
-    * run over budget ranked slowest.
+  /** Exp-1 (Fig. 5): response time of the four headline algorithms, per
+    * stand-in the warm medians of 3 rounds.
     */
   final case class Exp1Row(dataset: String, outcomes: Seq[Enumerators.Outcome])
 
@@ -154,10 +160,8 @@ object Tables {
     names.map { n =>
       val spec = Datasets.byName(n)
       val g = loadGraph(spark, spec)
-      def round() = algos.map(a => measured(Enumerators.run(a, g, spec.defaults, budgetMs, workers = 1)))
-      round()
-      val runs = Seq.fill(3)(round()).transpose // per algorithm, its 3 outcomes
-      Exp1Row(spec.name, runs.map(os => os.sortBy(o => (o.timedOut, o.stats.totalNanos)).apply(1)))
+      Exp1Row(spec.name,
+        warmMedians(3, algos.map(a => () => Enumerators.run(a, g, spec.defaults, budgetMs, workers = 1))))
     }
   }
 
@@ -173,28 +177,26 @@ object Tables {
     if (o.timedOut) "INF" else s"${fmt(o.stats.totalMs)} [${o.stats.nodes}/${o.stats.freqChecks}]"
 
   /** Exp-6 (Fig. 10): the candidate filtering rule and verification method
-    * ablations of FilterV.
+    * ablations of FilterV, per stand-in the warm medians of 3 rounds.
     */
   final case class Exp6Row(dataset: String, outcomes: Seq[Enumerators.Outcome])
 
   def exp6(spark: SparkSession, names: Seq[String], budgetMs: Long): Seq[Exp6Row] = {
     val algos = Seq("FilterV", "FilterV-FR", "FilterV-VM", "FilterV-")
-    names.zipWithIndex.map { case (n, i) =>
+    names.map { n =>
       val spec = Datasets.byName(n)
       val g = loadGraph(spark, spec)
-      // JIT warm-up before the first measured dataset: all four code paths
-      if (i == 0) algos.foreach(a => Enumerators.run(a, g, spec.defaults, budgetMs))
-      Exp6Row(spec.name, algos.map(a => measured(Enumerators.run(a, g, spec.defaults, budgetMs))))
+      Exp6Row(spec.name, warmMedians(3, algos.map(a => () => Enumerators.run(a, g, spec.defaults, budgetMs))))
     }
   }
 
   def renderExp6(rows: Seq[Exp6Row]): String =
-    render("Exp-6 (Fig. 10 shape) — FilterV ablations, response time (ms) [nodes/checks]",
+    render("Exp-6 (Fig. 10 shape) — FilterV ablations, response time (ms, median of 3) [nodes/checks]",
       Seq("Dataset", "FilterV", "FilterV-FR", "FilterV-VM", "FilterV-"),
       rows.map(r => Seq(r.dataset) ++ r.outcomes.map(cell)))
 
-  /** Exp-5 (Fig. 9): GFCore pruning ratio and VFree vs VFree-, each timed as
-    * the median of 5 alternating runs after one warm-up run of each.
+  /** Exp-5 (Fig. 9): GFCore pruning ratio and VFree vs VFree-, each the warm
+    * median of 5 rounds.
     */
   final case class Exp5Row(dataset: String, prunedPct: Double, vfreeMs: Double, vfreeMinusMs: Double)
 
@@ -202,15 +204,10 @@ object Tables {
     names.map { n =>
       val spec = Datasets.byName(n)
       val g = loadGraph(spark, spec)
-      def run(useGraphFilter: Boolean) =
-        measured(Enumerators.vFree(g, spec.defaults, useGraphFilter, budgetMs, workers = 1))
-      val prunedPct = run(useGraphFilter = true).stats.pruneRatio * 100.0 // warm-up of both variants
-      run(useGraphFilter = false)
-      val (vfMs, vfMinusMs) = Seq.fill(5)((run(true).stats.totalMs, run(false).stats.totalMs)).unzip
-      Exp5Row(spec.name, prunedPct, median(vfMs), median(vfMinusMs))
+      val Seq(vf, vfMinus) = warmMedians(5, Seq(true, false).map(filter =>
+        () => Enumerators.vFree(g, spec.defaults, filter, budgetMs, workers = 1)))
+      Exp5Row(spec.name, vf.stats.pruneRatio * 100.0, vf.stats.totalMs, vfMinus.stats.totalMs)
     }
-
-  private def median(xs: Seq[Double]): Double = xs.sorted.apply(xs.size / 2)
 
   def renderExp5(rows: Seq[Exp5Row]): String =
     render("Exp-5 (Fig. 9 shape) — graph filtering: edges pruned, VFree vs VFree- (median of 5)",

@@ -16,48 +16,51 @@ object Enumerators {
     def count: Int = results.map(_.size).getOrElse(-1)
   }
 
-  /** The named variants of the paper's experimental section. */
-  val algorithmNames: Seq[String] =
-    Seq("BK-ALG+", "FilterV-", "FilterV-FR", "FilterV-VM", "FilterV", "VFree-", "VFree")
+  /** A variant's switches: the FilterV kernel's ([[FilterV]]) or VFree's. */
+  private sealed trait Variant
+  private final case class FilterVFlags(candFilter: Boolean, arrayVerify: Boolean,
+                                        validCandidates: Boolean) extends Variant
+  private final case class VFreeFlags(graphFilter: Boolean) extends Variant
+
+  /** The named variants of the paper's experimental section: the one table
+    * that [[run]] dispatches on and [[filterV]] and [[vFree]] take their
+    * names from. BK-ALG+ is FilterV- without the valid candidate set.
+    */
+  private val variants: Seq[(String, Variant)] = Seq(
+    "BK-ALG+"    -> FilterVFlags(candFilter = false, arrayVerify = false, validCandidates = false),
+    "FilterV-"   -> FilterVFlags(candFilter = false, arrayVerify = false, validCandidates = true),
+    "FilterV-FR" -> FilterVFlags(candFilter = false, arrayVerify = true, validCandidates = true),
+    "FilterV-VM" -> FilterVFlags(candFilter = true, arrayVerify = false, validCandidates = true),
+    "FilterV"    -> FilterVFlags(candFilter = true, arrayVerify = true, validCandidates = true),
+    "VFree-"     -> VFreeFlags(graphFilter = false),
+    "VFree"      -> VFreeFlags(graphFilter = true))
+
+  val algorithmNames: Seq[String] = variants.map(_._1)
+
+  private def nameOf(v: Variant): String = variants.collectFirst { case (name, `v`) => name }.get
 
   private def timed(name: String, g: TemporalBipartiteGraph, budgetMs: Long)
                    (body: Deadline => (Set[Set[Long]], EnumStats)): Outcome = {
     val t0 = System.nanoTime()
-    try {
-      val (res, stats) = body(new Deadline(budgetMs))
-      stats.totalNanos = System.nanoTime() - t0 // include graph-filter time
-      stats.inputEdges = g.temporalEdgeCount
-      Outcome(name, Some(res), stats)
-    } catch {
-      case _: TimeBudgetExceeded =>
-        val s = new EnumStats
-        s.totalNanos = System.nanoTime() - t0
-        s.inputEdges = g.temporalEdgeCount
-        Outcome(name, None, s)
-    }
+    val (res, stats) =
+      try { val (r, s) = body(new Deadline(budgetMs)); (Some(r), s) }
+      catch { case _: TimeBudgetExceeded => (None, new EnumStats) }
+    stats.totalNanos = System.nanoTime() - t0 // include graph-filter time
+    stats.inputEdges = g.temporalEdgeCount
+    Outcome(name, res, stats)
   }
 
   /** FilterV and its ablations (graph filter always applied, as in §5). */
   def filterV(g: TemporalBipartiteGraph, p: Params,
               useCandFilter: Boolean = true, useArrayVerify: Boolean = true,
-              budgetMs: Long = 0): Outcome = {
-    val name = (useCandFilter, useArrayVerify) match {
-      case (true, true)   => "FilterV"
-      case (false, true)  => "FilterV-FR"
-      case (true, false)  => "FilterV-VM"
-      case (false, false) => "FilterV-"
-    }
-    filterVKernel(name, g, p, useCandFilter, useArrayVerify, useValidCandidates = true, budgetMs)
-  }
+              budgetMs: Long = 0): Outcome =
+    filterVKernel(FilterVFlags(useCandFilter, useArrayVerify, validCandidates = true), g, p, budgetMs)
 
-  /** The FilterV kernel on the GFCore-filtered graph; BK-ALG+ is FilterV-
-    * without the valid candidate set ([[FilterV]]).
-    */
-  private def filterVKernel(name: String, g: TemporalBipartiteGraph, p: Params, useCandFilter: Boolean,
-                            useArrayVerify: Boolean, useValidCandidates: Boolean, budgetMs: Long): Outcome =
-    timed(name, g, budgetMs) { dl =>
+  /** The FilterV kernel on the GFCore-filtered graph. */
+  private def filterVKernel(f: FilterVFlags, g: TemporalBipartiteGraph, p: Params, budgetMs: Long): Outcome =
+    timed(nameOf(f), g, budgetMs) { dl =>
       val fg = GFCore(g, p)
-      val alg = new FilterV(fg, p, useCandFilter, useArrayVerify, dl, useValidCandidates)
+      val alg = new FilterV(fg, p, f.candFilter, f.arrayVerify, dl, f.validCandidates)
       val res = alg.run()
       alg.stats.filteredEdges = fg.temporalEdgeCount
       (res, alg.stats)
@@ -70,8 +73,7 @@ object Enumerators {
     */
   def vFree(g: TemporalBipartiteGraph, p: Params, useGraphFilter: Boolean = true,
             budgetMs: Long = 0, workers: Int = VFree.defaultWorkers): Outcome = {
-    val name = if (useGraphFilter) "VFree" else "VFree-"
-    timed(name, g, budgetMs) { dl =>
+    timed(nameOf(VFreeFlags(useGraphFilter)), g, budgetMs) { dl =>
       val fg = if (useGraphFilter) GFCore.degreeOrdered(g, p) else reorderByDegree(g)
       val alg = new VFree(fg, p, dl)
       val res = alg.run(workers)
@@ -80,25 +82,23 @@ object Enumerators {
     }
   }
 
-  /** Ascending structural-degree relabelling of V (ties by original id):
-    * the builder's stable counting sort keyed by d(v) ≤ nU.
+  /** `g` with V numbered by ascending (structural degree, old id): the
+    * graph's one compaction over all its edges, which also drops ids without
+    * an edge. Graphs from `fromEdges` or `fromDF`, and GFCore's cores, have
+    * none, so on them only V's numbering changes.
     */
-  def reorderByDegree(g: TemporalBipartiteGraph): TemporalBipartiteGraph =
-    g.relabelV(TemporalBipartiteGraph.countingSort(Array.range(0, g.nV), g.nU + 1, Array.tabulate(g.nV)(g.sDegV))._1)
+  def reorderByDegree(g: TemporalBipartiteGraph): TemporalBipartiteGraph = {
+    val (us, vs, ts) = g.columns
+    g.compact(us, vs, ts, byDegree = true)
+  }
 
   /** Dispatch by paper name (bench harness entry point); `workers` reaches
     * only the VFree variants.
     */
   def run(name: String, g: TemporalBipartiteGraph, p: Params, budgetMs: Long = 0,
-          workers: Int = VFree.defaultWorkers): Outcome = name match {
-    case "BK-ALG+"    => filterVKernel(name, g, p, useCandFilter = false, useArrayVerify = false,
-                                       useValidCandidates = false, budgetMs)
-    case "FilterV"    => filterV(g, p, useCandFilter = true, useArrayVerify = true, budgetMs)
-    case "FilterV-FR" => filterV(g, p, useCandFilter = false, useArrayVerify = true, budgetMs)
-    case "FilterV-VM" => filterV(g, p, useCandFilter = true, useArrayVerify = false, budgetMs)
-    case "FilterV-"   => filterV(g, p, useCandFilter = false, useArrayVerify = false, budgetMs)
-    case "VFree"      => vFree(g, p, useGraphFilter = true, budgetMs, workers)
-    case "VFree-"     => vFree(g, p, useGraphFilter = false, budgetMs, workers)
-    case other        => throw new IllegalArgumentException(s"unknown algorithm: $other")
+          workers: Int = VFree.defaultWorkers): Outcome = variants.toMap.get(name) match {
+    case Some(f: FilterVFlags)      => filterVKernel(f, g, p, budgetMs)
+    case Some(VFreeFlags(filtered)) => vFree(g, p, filtered, budgetMs, workers)
+    case None                       => throw new IllegalArgumentException(s"unknown algorithm: $name")
   }
 }

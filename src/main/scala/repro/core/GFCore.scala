@@ -16,7 +16,10 @@ import scala.collection.mutable
   * stack of slots, so each slot is pushed at most once; popping it walks its
   * Γ(w, t) slice and decrements the present neighbour slots. A v that falls
   * below λ has its contiguous slot range pruned. An edge `(u, v, t)`
-  * survives iff both its slots are non-zero.
+  * survives iff both its slots are non-zero. The survivors, gathered in
+  * `(u, t, v)` order, go to the graph's one derived-graph builder,
+  * `TemporalBipartiteGraph.compact`, which drops the ids without a
+  * surviving edge.
   *
   * Memory: the table and the stack, one `Int` per slot each, at most 2·|E|
   * (which the builder keeps below `Int.MaxValue`), plus nV counters.
@@ -31,38 +34,21 @@ object GFCore {
     Array.tabulate(us.length)(e => (us(e), vs(e), ts(e)))
   }
 
-  /** The (τ_V, τ_U, λ)-core as a compacted graph: U, V and T ids without a
-    * surviving edge are dropped and the rest renumbered in their relative
-    * order (original labels kept).
+  /** The (τ_V, τ_U, λ)-core as a compacted graph (`TemporalBipartiteGraph.compact`):
+    * U, V and T ids without a surviving edge are dropped and the rest
+    * renumbered in their relative order (original labels kept).
     */
-  def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = core(g, p, byDegree = false)
+  def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = {
+    val (us, vs, ts) = survivors(g, p)
+    g.compact(us, vs, ts, byDegree = false)
+  }
 
   /** [[apply]]'s core with V numbered by ascending (static degree in the core,
     * old id) instead: `Enumerators.reorderByDegree(GFCore(g, p))` in one build.
     */
-  def degreeOrdered(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = core(g, p, byDegree = true)
-
-  private def core(g: TemporalBipartiteGraph, p: Params, byDegree: Boolean): TemporalBipartiteGraph = {
+  def degreeOrdered(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = {
     val (us, vs, ts) = survivors(g, p)
-    val vDeg = new Array[Int](g.nV) // static degree in the core: the edges come grouped by u
-    val lastU = Array.fill(g.nV)(-1)
-    for (e <- us.indices if lastU(vs(e)) != us(e)) { lastU(vs(e)) = us(e); vDeg(vs(e)) += 1 }
-    TemporalBipartiteGraph.fromInternal(us, vs, ts, renumber(us, g.uLabels)(_ => 1),
-      renumber(vs, g.vLabels, g.nU + 1)(v => if (byDegree) vDeg(v) else 1), renumber(ts, g.tLabels)(_ => 1))
-  }
-
-  /** Renumbers the ids in `col` onto `0 until k` (k = distinct ids used) by
-    * ascending (key, old id), `key` ∈ [1, nKeys) on the used ids, so a
-    * constant key keeps their relative order; returns the kept labels.
-    */
-  private def renumber(col: Array[Int], labels: Array[Long], nKeys: Int = 2)(key: Int => Int): Array[Long] = {
-    val keys = new Array[Int](labels.length) // the unused ids keep key 0 and fill bucket 0
-    col.foreach(x => keys(x) = key(x))
-    val (order, off) = TemporalBipartiteGraph.countingSort(Array.range(0, labels.length), nKeys, keys)
-    val newId = new Array[Int](labels.length)
-    for (r <- off(1) until order.length) newId(order(r)) = r - off(1)
-    col.indices.foreach(i => col(i) = newId(col(i)))
-    Array.tabulate(order.length - off(1))(r => labels(order(off(1) + r)))
+    g.compact(us, vs, ts, byDegree = true)
   }
 
   /** The surviving edges as id columns `(us, vs, ts)`, in `(u, t, v)` order:

@@ -56,14 +56,15 @@ import scala.jdk.CollectionConverters._
   * are created with the JVM's default stack size, so that `-Xss` (which the
   * tests and perfbench set to 64m) covers them as it covers the caller.
   *
-  * The caller numbers V by ascending structural degree, with the graph filter
-  * ([[GFCore.degreeOrdered]]) or without it ([[Enumerators.reorderByDegree]],
-  * VFree-) — see [[Enumerators.vFree]]. Root branches are independent
-  * (Theorem 4.1: each seed's MFGs are globally maximal), so the one search
-  * entry is [[runSeed]], which runs one seed on this engine's thread. [[run]]
-  * fans the seeds out over worker threads in this JVM, each with its own
-  * engine and the shared read-only graph, and checks that no group is emitted
-  * twice; [[repro.spark.DistributedMfg]] fans them out over a Spark Dataset.
+  * The caller numbers V by ascending structural degree in the graph's one
+  * compaction, of the core ([[GFCore.degreeOrdered]]) or, for VFree-, of all
+  * edges ([[Enumerators.reorderByDegree]]) — see [[Enumerators.vFree]]. Root
+  * branches are independent (Theorem 4.1: each seed's MFGs are globally
+  * maximal), so the one search entry is [[runSeed]], which runs one seed on
+  * this engine's thread. [[run]] fans the seeds out over worker threads in
+  * this JVM, each with its own engine and the shared read-only graph, and
+  * checks that no group is emitted twice; [[repro.spark.DistributedMfg]] fans
+  * them out over a Spark Dataset.
   *
   * Two guards absent from the paper's printed pseudocode are added on its
   * line 40 (|C_T'| ≥ λ and |V_S'| ≥ τ_V): without them root-level seeds that

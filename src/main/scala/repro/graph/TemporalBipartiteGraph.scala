@@ -37,9 +37,10 @@ import org.apache.spark.sql.DataFrame
   * columns: one stable counting sort orders the edges by `(u, v, t)`,
   * adjacent duplicates are dropped, and the same sort then fills each view
   * and its offsets from that ordering. A derived graph maps the id columns
-  * and builds once: `relabelV` permutes V, `collapseStatic` zeroes `t`, and
-  * GFCore drops ids without a surviving edge, keeping the others' relative
-  * order or, for VFree, numbering V by degree in the same pass.
+  * and builds once: `collapseStatic` zeroes `t`, and `compact`, the one
+  * renumbering pass, drops ids without an edge and numbers V in relative
+  * order or by ascending static degree (VFree's order). GFCore's cores and
+  * `Enumerators.reorderByDegree` are `compact` over their edges.
   *
   * Size bound: |E| ≤ [[TemporalBipartiteGraph.MaxEdges]] distinct temporal
   * edges, checked by the builder, so the S_U + S_V ≤ 2·|E| slots of both
@@ -97,13 +98,13 @@ final class TemporalBipartiteGraph private (
   /** Momentary degree δ(u, t) for u ∈ U. */
   def mDegU(u: Int, t: Int): Int = { val k = uSlot(u, t); if (k < 0) 0 else gUOff(k + 1) - gUOff(k) }
 
-  /** All temporal edges as packed id columns `(us, vs, ts)`, in `(u, v, t)` order. */
-  private def columns: (Array[Int], Array[Int], Array[Int]) = {
+  /** All temporal edges as fresh id columns `(us, vs, ts)`, in `(u, v, t)` order. */
+  private[repro] def columns: (Array[Int], Array[Int], Array[Int]) = {
     val us, vs = new Array[Int](ts.length)
     for (u <- 0 until nU; i <- uOff(u) until uOff(u + 1); e <- tsOff(i) until tsOff(i + 1)) {
       us(e) = u; vs(e) = uNbr(i)
     }
-    (us, vs, ts) // the graph's own `ts`: every caller only reads the columns
+    (us, vs, ts.clone())
   }
 
   /** All temporal edges as internal-id triples (u, v, t), in that order. */
@@ -116,16 +117,29 @@ final class TemporalBipartiteGraph private (
   def labeledEdges: Array[(Long, Long, Long)] =
     internalEdges.map { case (u, v, t) => (uLabels(u), vLabels(v), tLabels(t)) }
 
-  /** Returns a copy with V-side internal ids permuted: new id `r` is old id
-    * `perm(r)`. Used by VFree's ascending-structural-degree ID reorder.
-    * `vLabels` is permuted consistently so results keep original labels.
+  /** The one derived-graph builder: the graph of the edges `(us(e), vs(e),
+    * ts(e))`, given in this graph's ids and grouped by u. Ids without an
+    * edge are dropped; U and T keep their relative order, and V is numbered
+    * by ascending (static degree among the edges, old id) if `byDegree`, in
+    * relative order otherwise. Labels are carried over. Rewrites the columns
+    * in place, so they must not be another graph's arrays.
     */
-  def relabelV(perm: Array[Int]): TemporalBipartiteGraph = {
-    require(perm.length == nV, s"perm size ${perm.length} != nV $nV")
-    val inv = new Array[Int](nV)
-    perm.indices.foreach(r => inv(perm(r)) = r)
-    val (us, vs, ts) = columns
-    TemporalBipartiteGraph.fromInternal(us, vs.map(inv(_)), ts, uLabels, perm.map(vLabels(_)), tLabels)
+  private[repro] def compact(us: Array[Int], vs: Array[Int], ts: Array[Int], byDegree: Boolean): TemporalBipartiteGraph = {
+    // Renumbers `col` onto 0 until k by ascending (key, old id), with key ≥ 1 on the used ids and 0
+    // on the rest, which fill bucket 0 and are dropped; returns the kept labels.
+    def renumber(col: Array[Int], labels: Array[Long], nKeys: Int, key: Array[Int]): Array[Long] = {
+      val (order, off) = TemporalBipartiteGraph.countingSort(Array.range(0, labels.length), nKeys, key)
+      val newId = new Array[Int](labels.length)
+      for (r <- off(1) until order.length) newId(order(r)) = r - off(1)
+      col.indices.foreach(i => col(i) = newId(col(i)))
+      Array.tabulate(order.length - off(1))(r => labels(order(off(1) + r)))
+    }
+    def used(col: Array[Int], n: Int) = { val key = new Array[Int](n); col.foreach(key(_) = 1); key }
+    val vDeg = new Array[Int](nV) // static degree: the edges come grouped by u
+    val lastU = Array.fill(nV)(-1)
+    for (e <- us.indices if lastU(vs(e)) != us(e)) { lastU(vs(e)) = us(e); vDeg(vs(e)) += 1 }
+    TemporalBipartiteGraph.fromInternal(us, vs, ts, renumber(us, uLabels, 2, used(us, nU)),
+      renumber(vs, vLabels, nU + 1, if (byDegree) vDeg else used(vs, nV)), renumber(ts, tLabels, 2, used(ts, nT)))
   }
 
   /** Static bipartite projection (every timestamp collapsed onto t = 0). */

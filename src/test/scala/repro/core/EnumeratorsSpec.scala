@@ -1,8 +1,12 @@
 package repro.core
 
+import org.scalacheck.Prop
+import org.scalacheck.Prop.{forAll, propBoolean}
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
+import repro.graph.GraphGen
+import repro.graph.GraphGen.check
 
 /** The central correctness suite: every algorithm variant of the paper must
   * return exactly the brute-force MFG set on every graph and parameter
@@ -74,6 +78,14 @@ class EnumeratorsSpec extends AnyFunSuite {
       checkAll(g, Params(2, 2, 2), s"dense($seed)")
       checkAll(g, Params(3, 2, 2), s"dense($seed)")
     }
+  }
+
+  test("every variant ≡ brute force on generated graphs") {
+    // isolated vertices, empty timestamps and |T| up to 70: VFree- compacts them away
+    check(forAll(GraphGen.graphs, GraphGen.params(3)) { (g, p) =>
+      val want = BruteForce.mfgLabels(g, p)
+      Prop.all(variants.map(n => (Enumerators.run(n, g, p).results.get == want) :| s"$n at $p"): _*)
+    })
   }
 
   test("VFree without ID reorder is still correct") {

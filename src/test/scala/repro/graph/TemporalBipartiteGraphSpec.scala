@@ -60,12 +60,6 @@ class TemporalBipartiteGraphSpec extends AnyFunSuite {
       Set((1L, 10L, 0L), (1L, 11L, 0L), (2L, 10L, 0L), (1L, 10L, 1L), (2L, 11L, 1L)))
   }
 
-  test("relabelV permutes ids and labels consistently") {
-    val r = g.relabelV(Array(1, 0)) // new id 0 = old id 1 (label 11)
-    assert(r.vLabels.toSeq == Seq(11L, 10L))
-    assert(r.labeledEdges.toSet == g.labeledEdges.toSet)
-  }
-
   test("collapseStatic merges all snapshots into t=0") {
     val s = g.collapseStatic
     assert(s.nT == 1)
