@@ -40,10 +40,14 @@ object Deadline {
   * or the other, times each seed's search as one span, so its search makes
   * no clock calls per node.
   * `step1Touches` and `step3Touches` are VFree's Theorem 4.2 cost terms as
-  * deterministic counts: Γ(v, t) entries read by Step 1, and Γ(u, t)
-  * entries read by Steps 3–4 and the lower-id maximality pass. `maxDepth`
-  * is the largest |V_S| a VFree node reached. All but the times are
-  * deterministic, whatever the number of workers.
+  * deterministic counts: Γ(v, t) entries read by Step 1, and the entries
+  * read by Steps 3–4 and Theorem 4.1's test — the Γ(u, t) entries Step 3
+  * scans or walks past above its later-sibling bound, those of the lower-id
+  * maximality pass and the Γ(w, t) entries of its witness test.
+  * `maxChecks` counts the would-be results that reached Theorem 4.1's test
+  * and `witnessHits` those that the witness settled. `maxDepth` is the
+  * largest |V_S| a VFree node reached. All but the times are deterministic,
+  * whatever the number of workers.
   */
 final class EnumStats extends Serializable {
   var nodes: Long = 0L          // search-tree nodes expanded
@@ -53,7 +57,9 @@ final class EnumStats extends Serializable {
   var filteredEdges: Long = 0L  // temporal edges surviving the graph filter
   var inputEdges: Long = 0L     // temporal edges before the graph filter
   var step1Touches: Long = 0L   // VFree: Γ(v, t) entries scanned in Step 1
-  var step3Touches: Long = 0L   // VFree: Γ(u, t) entries scanned in Steps 3–4
+  var step3Touches: Long = 0L   // VFree: entries read by Steps 3–4 and Theorem 4.1's test
+  var maxChecks: Long = 0L      // VFree: would-be results given Theorem 4.1's test
+  var witnessHits: Long = 0L    // VFree: of those, the ones the witness settled
   var maxDepth: Int = 0         // VFree: largest |V_S| of a search node
 
   /** Adds another run's search counters to these (`maxDepth` by max); the
@@ -66,6 +72,8 @@ final class EnumStats extends Serializable {
     cmNanos += o.cmNanos
     step1Touches += o.step1Touches
     step3Touches += o.step3Touches
+    maxChecks += o.maxChecks
+    witnessHits += o.witnessHits
     maxDepth = math.max(maxDepth, o.maxDepth)
   }
 

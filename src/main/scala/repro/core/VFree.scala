@@ -70,6 +70,21 @@ import scala.jdk.CollectionConverters._
   * line 40 (|C_T'| ≥ λ and |V_S'| ≥ τ_V): without them root-level seeds that
   * are themselves infrequent or undersized would be reported (DESIGN.md §6);
   * brute-force cross-validation pins this down.
+  *
+  * Two exact cuts are added to the printed algorithm; they drop reads only,
+  * and leave the nodes, results, C_V* and `maxDepth` as they were:
+  *  - Later-sibling bound (Lemma 2.2). A child's C_V* lies within its
+  *    parent's C_V* above the child's v, so [[branch]] takes `hiV`, the last
+  *    entry of the parent's C_V*, and Step 3 does no counting at the V-slots
+  *    of the v' > hiV (ids at or above `vSlotOff(hiV + 1)`, at every t); the
+  *    last child skips Step 3. This is the tail bound of set-enumeration
+  *    search (MAFIA, Burdick, Calimlim & Gehrke, ICDE 2001).
+  *  - Witness-first maximality (Theorem 4.1). `notRepeat` first tries the
+  *    v' that last extended a would-be result of this seed, and runs the
+  *    full lower-id pass only when that v' does not extend this one. This is
+  *    GenMax's progressive focusing (Gouda & Zaki, ICDM 2001). [[runSeed]]
+  *    resets the witness, so every counter of a seed is the same whatever
+  *    the engine ran before.
   */
 final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Serializable {
   val stats = new EnumStats
@@ -90,6 +105,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   // Per-depth segments [C_T' | C_V*]; the bottom nT entries are the root's C_T.
   private var stack: Array[Int] = Array.range(0, g.nT)
   private val results = mutable.ArrayBuffer.empty[Array[Int]] // ascending internal ids
+  private var witness = -1 // the v' that last extended a would-be result of this seed, or −1
 
   /** The first of v's slots in [k, kEnd) whose t is not below `t`. */
   private def seek(k: Int, kEnd: Int, t: Int): Int = {
@@ -101,8 +117,10 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   /** One iteration of the `for v ∈ C_V` loop of VerifyFreeMFG: extends
     * V_S = vs[0, depth) with `v`, using the inherited survived timestamps
     * stack[ctOff, ctOff + ctLen); this node's segment starts at `base`.
+    * `hiV` is the last entry of the parent's C_V* (nV − 1 at a root): by
+    * Lemma 2.2 no v' > hiV can join this node's C_V*.
     */
-  private def branch(v: Int, depth: Int, ctOff: Int, ctLen: Int, base: Int): Unit = {
+  private def branch(v: Int, depth: Int, ctOff: Int, ctLen: Int, base: Int, hiV: Int): Unit = {
     deadline.check(stats.nodes)
     stats.nodes += 1
     val vsSize2 = depth + 1
@@ -118,6 +136,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     var touch1 = 0L
     var touch3 = 0L
     val kEnd = vSlotOff(v + 1)
+    val later = hiV > v // else C_V* is empty: it lies within the later siblings'
+    val kHi = vSlotOff(hiV + 1) // slots of the v' ≤ hiV lie below, at every t
     var k = vSlotOff(v) // v's slot cursor, merged with the ascending C_T
     var ti = 0
     while (ti < ctLen && k < kEnd) {
@@ -140,29 +160,32 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
         if (nCandU >= p.tauU) {
           st(base + nCt) = t
           nCt += 1
-          // Step 3: reverse-ascertain from V over the suffix v' > v (slots
-          // above v's slot k) of each ascending Γ(u, t); Step 4: survived
-          // count update.
-          pass += 1
-          var ci = 0
-          while (ci < nCandU) {
-            val lo = gUOff(candU(ci))
-            val hi = gUOff(candU(ci) + 1)
-            var j = hi - 1
-            while (j >= lo && gUNbr(j) > k) {
-              val s2 = gUNbr(j)
-              val c =
-                if (visitV(s2) != pass) { visitV(s2) = pass; cntVT(s2) = 1; 1 }
-                else { cntVT(s2) += 1; cntVT(s2) }
-              if (c == p.tauU) {
-                val v2 = vOfSlot(s2)
-                if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
-                cntT(v2) += 1
+          // Step 3: reverse-ascertain from V over the v' in (v, hiV] (slots
+          // in (k, kHi)) of each ascending Γ(u, t); Step 4: survived count
+          // update. The entries at or above kHi are walked past.
+          if (later) {
+            pass += 1
+            var ci = 0
+            while (ci < nCandU) {
+              val lo = gUOff(candU(ci))
+              val hi = gUOff(candU(ci) + 1)
+              var j = hi - 1
+              while (j >= lo && gUNbr(j) >= kHi) j -= 1
+              while (j >= lo && gUNbr(j) > k) {
+                val s2 = gUNbr(j)
+                val c =
+                  if (visitV(s2) != pass) { visitV(s2) = pass; cntVT(s2) = 1; 1 }
+                  else { cntVT(s2) += 1; cntVT(s2) }
+                if (c == p.tauU) {
+                  val v2 = vOfSlot(s2)
+                  if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
+                  cntT(v2) += 1
+                }
+                j -= 1
               }
-              j -= 1
+              touch3 += hi - 1 - j
+              ci += 1
             }
-            touch3 += hi - 1 - j
-            ci += 1
           }
         }
         k += 1
@@ -187,8 +210,9 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
 
     if (frequent && vsSize2 + nCv >= p.tauV && nCv > 0) {
       java.util.Arrays.sort(st, cvOff, cvOff + nCv) // ascending processing order
+      val last = st(cvOff + nCv - 1)
       var si = 0
-      while (si < nCv) { branch(stack(cvOff + si), vsSize2, base, nCt, cvOff + nCv); si += 1 }
+      while (si < nCv) { branch(stack(cvOff + si), vsSize2, base, nCt, cvOff + nCv, last); si += 1 }
     }
     if (emit) results += java.util.Arrays.copyOf(vs, vsSize2)
 
@@ -212,14 +236,23 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   /** Theorem 4.1 at a would-be result V_S' = vs[0, size) whose largest id
     * is `v`: true unless some v' < v outside V_S has τ_U common m-neighbors
     * with V_S' at λ of its survived timestamps stack[ctOff, ctOff + nCt).
-    * Steps 3–4 over the prefix v' < v (slots below v's) of each Γ(u, t),
-    * stopping at the first v' to reach λ; a v' in V_S is skipped when its
-    * count reaches τ_U, the only point where it could matter. `cntU` still
-    * holds V_S' and `candV` is free, so cand_U is read off `cntU` and
+    * The `witness`, the last v' that extended a would-be result of this
+    * seed, is tried first ([[extendedBy]]); a would-be result and the next
+    * one mostly share their extender. Otherwise Steps 3–4 run over the
+    * prefix v' < v (slots below v's) of each Γ(u, t), stopping at the first
+    * v' to reach λ, which becomes the witness; a v' in V_S is skipped when
+    * its count reaches τ_U, the only point where it could matter. `cntU`
+    * still holds V_S' and `candV` is free, so cand_U is read off `cntU` and
     * `candV` lists the v' whose `cntT` this pass raised; it zeroes them
     * before returning.
     */
   private def notRepeat(v: Int, size: Int, ctOff: Int, nCt: Int): Boolean = {
+    stats.maxChecks += 1
+    val w = witness
+    if (w >= 0 && w < v && !inVS(w) && extendedBy(w, size, ctOff, nCt)) {
+      stats.witnessHits += 1
+      return false
+    }
     var touched = 0
     var touch3 = 0L
     var extended = false
@@ -247,7 +280,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
               if (!inVS(v2)) {
                 if (cntT(v2) == 0) { candV(touched) = v2; touched += 1 }
                 cntT(v2) += 1
-                extended = cntT(v2) >= p.lambda
+                if (cntT(v2) >= p.lambda) { extended = true; witness = v2 }
               }
             }
             j += 1
@@ -262,6 +295,36 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     while (c < touched) { cntT(candV(c)) = 0; c += 1 }
     stats.step3Touches += touch3
     !extended
+  }
+
+  /** Whether w joins V_S' = vs[0, size) at λ of its survived timestamps
+    * stack[ctOff, ctOff + nCt): at each such t, w needs τ_U m-neighbors in
+    * cand_U, read off `cntU` along Γ(w, t). Stops once λ is reached or out
+    * of reach.
+    */
+  private def extendedBy(w: Int, size: Int, ctOff: Int, nCt: Int): Boolean = {
+    var hits = 0
+    var touch = 0L
+    val kEnd = vSlotOff(w + 1)
+    var k = vSlotOff(w)
+    var ti = 0
+    while (ti < nCt && k < kEnd && hits < p.lambda && hits + nCt - ti >= p.lambda) {
+      val t = stack(ctOff + ti)
+      k = seek(k, kEnd, t)
+      if (k < kEnd && vSlotT(k) == t) {
+        var m = 0
+        val start = gVOff(k)
+        val end = gVOff(k + 1)
+        var i = start
+        while (i < end && m < p.tauU) { if (cntU(gVNbr(i)) == size) m += 1; i += 1 }
+        touch += i - start
+        if (m >= p.tauU) hits += 1
+        k += 1
+      }
+      ti += 1
+    }
+    stats.step3Touches += touch
+    hits >= p.lambda
   }
 
   /** Full enumeration: [[runSeed]] over every root seed, fanned out over
@@ -309,8 +372,9 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     */
   def runSeed(seed: Int): Vector[Set[Long]] = {
     results.clear() // keep per-seed memory flat
+    witness = -1 // so no counter depends on the seeds this engine ran before
     val t0 = System.nanoTime()
-    branch(seed, 0, 0, g.nT, g.nT)
+    branch(seed, 0, 0, g.nT, g.nT, g.nV - 1)
     stats.cmNanos += System.nanoTime() - t0
     results.iterator.map(_.map(g.vLabels).toSet).toVector
   }

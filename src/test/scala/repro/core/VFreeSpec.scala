@@ -51,18 +51,20 @@ class VFreeSpec extends AnyFunSuite {
     assert(once == twice)
   }
 
+  private def counters(s: EnumStats) =
+    (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth, s.maxChecks, s.witnessHits)
+
   test("results do not depend on seed processing order") {
     val g = TestGraphs.random(7, 7, 4, 0.5, 44)
     val p = Params(2, 1, 2)
-    val fwd = {
+    def inOrder(seeds: Seq[Int]) = {
       val e = new VFree(g, p, Deadline.unlimited)
-      (0 until g.nV).flatMap(e.runSeed).toSet
+      (seeds.flatMap(e.runSeed).toSet, counters(e.stats))
     }
-    val bwd = {
-      val e = new VFree(g, p, Deadline.unlimited)
-      (g.nV - 1 to 0 by -1).flatMap(e.runSeed).toSet
-    }
+    val (fwd, fwdCounters) = inOrder(0 until g.nV)
+    val (bwd, bwdCounters) = inOrder(g.nV - 1 to 0 by -1)
     assert(fwd == bwd)
+    assert(fwdCounters == bwdCounters)
   }
 
   test("every reported MFG is frequent and size-feasible") {
@@ -97,12 +99,12 @@ class VFreeSpec extends AnyFunSuite {
     assert(engine.run().size == 27007)
     assert(engine.stats.nodes == 244790)
     assert(engine.stats.step1Touches == 16518303L)
-    assert(engine.stats.step3Touches == 12669600L)
+    assert(engine.stats.step3Touches == 12526627L)
     assert(engine.stats.maxDepth == 11)
+    assert((engine.stats.maxChecks, engine.stats.witnessHits) == (152339L, 53726L))
   }
 
   test("property: run on k ∈ {1, 2, 3, 8} workers ≡ brute force, with the k = 1 counters") {
-    def counters(s: EnumStats) = (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth)
     GraphGen.check(forAll(GraphGen.graphs, GraphGen.params(4)) { (g, p) =>
       val rg = GFCore.degreeOrdered(g, p)
       val want = BruteForce.mfgLabels(g, p)
@@ -175,6 +177,16 @@ class VFreeSpec extends AnyFunSuite {
     val at = Seq(0 -> Seq(0, 1, 2), 1 -> Seq(1, 2), 2 -> Seq(0, 1, 3), 3 -> Seq(1, 3))
     val edges = for ((t, vs) <- at; v <- vs; u <- 0 to 1) yield (u, v, t)
     checkLabelOrder(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L), Set(1L, 2L), Set(1L, 3L)))
+  }
+
+  test("lower-id pass: a witness inside the next would-be result's V_S does not suppress it") {
+    // MFGs {0, 1, 2, 4} (t0, t1) and {0, 2, 3} (t2, t3). In seed 0 the pass
+    // at {0, 1, 4} finds v2, which is then the witness at {0, 2, 3}: it lies
+    // in V_S there, so the full pass runs, finds no extender and {0, 2, 3}
+    // is emitted.
+    val groups = Seq(Seq(0, 1, 2, 4) -> Seq(0, 1), Seq(0, 2, 3) -> Seq(2, 3))
+    val edges = for ((vs, ts) <- groups; v <- vs; t <- ts; u <- 0 to 1) yield (u, v, t)
+    checkLabelOrder(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L, 2L, 4L), Set(0L, 2L, 3L)))
   }
 
   test("stats.nodes counts one node per branch expansion") {
