@@ -83,14 +83,13 @@ object Enumerators {
   }
 
   /** `g` with V numbered by ascending (structural degree, old id): the
-    * graph's one compaction over all its edges, which also drops ids without
-    * an edge. Graphs from `fromEdges` or `fromDF`, and GFCore's cores, have
-    * none, so on them only V's numbering changes.
+    * graph's one derived-graph builder, `keepSlots`, with every slot alive.
+    * It also drops the ids without an edge; graphs from `fromEdges` or
+    * `fromDF`, and GFCore's cores, have none, so on them only V's numbering
+    * changes.
     */
-  def reorderByDegree(g: TemporalBipartiteGraph): TemporalBipartiteGraph = {
-    val (us, vs, ts) = g.columns
-    g.compact(us, vs, ts, byDegree = true)
-  }
+  def reorderByDegree(g: TemporalBipartiteGraph): TemporalBipartiteGraph =
+    g.keepSlots(Array.fill(g.uSlotT.length + g.vSlotT.length)(1), byDegree = true)
 
   /** Dispatch by paper name (bench harness entry point); `workers` reaches
     * only the VFree variants.

@@ -2,8 +2,6 @@ package repro.core
 
 import repro.graph.TemporalBipartiteGraph
 
-import scala.collection.mutable
-
 /** The (τ_V, τ_U, λ)-core graph filter (Definition 3.2 / Algorithm 2).
   *
   * The cascade is the paper's CorePrune in O(|E|) over one flat `Int` table
@@ -16,47 +14,24 @@ import scala.collection.mutable
   * stack of slots, so each slot is pushed at most once; popping it walks its
   * Γ(w, t) slice and decrements the present neighbour slots. A v that falls
   * below λ has its contiguous slot range pruned. An edge `(u, v, t)`
-  * survives iff both its slots are non-zero. The survivors, gathered in
-  * `(u, t, v)` order, go to the graph's one derived-graph builder,
-  * `TemporalBipartiteGraph.compact`, which drops the ids without a
-  * surviving edge.
+  * survives iff both its slots are non-zero. The final table is the alive
+  * mask of the graph's one derived-graph builder,
+  * `TemporalBipartiteGraph.keepSlots`, which builds the core straight from
+  * the surviving slots and drops the ids without a surviving edge.
   *
   * Memory: the table and the stack, one `Int` per slot each, at most 2·|E|
   * (which the builder keeps below `Int.MaxValue`), plus nV counters.
+  * `keepSlots` adds at most two `Int`s per slot, one per surviving edge and
+  * O(nU + nV + nT) while it builds.
   */
 object GFCore {
 
   /** Surviving temporal edges (internal ids of `g`) — Algorithm 2 — in
-    * `(u, t, v)` order.
+    * `(u, t, v)` order: one walk over the U-slots, O(|E|).
     */
   def filterEdges(g: TemporalBipartiteGraph, p: Params): Array[(Int, Int, Int)] = {
-    val (us, vs, ts) = survivors(g, p)
-    Array.tabulate(us.length)(e => (us(e), vs(e), ts(e)))
-  }
-
-  /** The (τ_V, τ_U, λ)-core as a compacted graph (`TemporalBipartiteGraph.compact`):
-    * U, V and T ids without a surviving edge are dropped and the rest
-    * renumbered in their relative order (original labels kept).
-    */
-  def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = {
-    val (us, vs, ts) = survivors(g, p)
-    g.compact(us, vs, ts, byDegree = false)
-  }
-
-  /** [[apply]]'s core with V numbered by ascending (static degree in the core,
-    * old id) instead: `Enumerators.reorderByDegree(GFCore(g, p))` in one build.
-    */
-  def degreeOrdered(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph = {
-    val (us, vs, ts) = survivors(g, p)
-    g.compact(us, vs, ts, byDegree = true)
-  }
-
-  /** The surviving edges as id columns `(us, vs, ts)`, in `(u, t, v)` order:
-    * one walk over the U-slots, O(|E|).
-    */
-  private def survivors(g: TemporalBipartiteGraph, p: Params): (Array[Int], Array[Int], Array[Int]) = {
     val deg = cascade(g, p); val nSU = g.uSlotT.length
-    val us, vs, ts = new mutable.ArrayBuilder.ofInt
+    val out = Array.newBuilder[(Int, Int, Int)]
     var u = 0
     while (u < g.nU) {
       var k = g.uSlotOff(u)
@@ -64,7 +39,7 @@ object GFCore {
         if (deg(k) > 0) {
           var i = g.gUOff(k)
           while (i < g.gUOff(k + 1)) {
-            if (deg(nSU + g.gUNbr(i)) > 0) { us += u; vs += g.vOfSlot(g.gUNbr(i)); ts += g.uSlotT(k) }
+            if (deg(nSU + g.gUNbr(i)) > 0) out += ((u, g.vOfSlot(g.gUNbr(i)), g.uSlotT(k)))
             i += 1
           }
         }
@@ -72,8 +47,22 @@ object GFCore {
       }
       u += 1
     }
-    (us.result(), vs.result(), ts.result())
+    out.result()
   }
+
+  /** The (τ_V, τ_U, λ)-core as a graph: the cascade's surviving slots, built
+    * by `TemporalBipartiteGraph.keepSlots`. U, V and T ids without a
+    * surviving edge are dropped and the rest renumbered in their relative
+    * order (original labels kept).
+    */
+  def apply(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph =
+    g.keepSlots(cascade(g, p), byDegree = false)
+
+  /** [[apply]]'s core with V numbered by ascending (static degree in the core,
+    * old id) instead: `Enumerators.reorderByDegree(GFCore(g, p))` in one build.
+    */
+  def degreeOrdered(g: TemporalBipartiteGraph, p: Params): TemporalBipartiteGraph =
+    g.keepSlots(cascade(g, p), byDegree = true)
 
   /** Algorithm 2's cascade; returns the final `deg` table (U-slots, then V-slots). */
   private def cascade(g: TemporalBipartiteGraph, p: Params): Array[Int] = {

@@ -57,8 +57,9 @@ import scala.jdk.CollectionConverters._
   * tests and perfbench set to 64m) covers them as it covers the caller.
   *
   * The caller numbers V by ascending structural degree in the graph's one
-  * compaction, of the core ([[GFCore.degreeOrdered]]) or, for VFree-, of all
-  * edges ([[Enumerators.reorderByDegree]]) — see [[Enumerators.vFree]]. Root
+  * derived-graph builder (`keepSlots`), over the core's surviving slots
+  * ([[GFCore.degreeOrdered]]) or, for VFree-, over every slot
+  * ([[Enumerators.reorderByDegree]]) — see [[Enumerators.vFree]]. Root
   * branches are independent (Theorem 4.1: each seed's MFGs are globally
   * maximal), so the one search entry is [[runSeed]], which runs one seed on
   * this engine's thread. [[run]] fans the seeds out over worker threads in

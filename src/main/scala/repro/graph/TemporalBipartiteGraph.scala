@@ -33,14 +33,17 @@ import org.apache.spark.sql.DataFrame
   * 3·|E_static| + 3·|E| + 2·S_U + 3·S_V + O(1), plus the labels, where
   * S_U, S_V ≤ |E| are the two slot counts.
   *
-  * Every graph comes from one builder, `fromInternal`, over packed `Int` id
-  * columns: one stable counting sort orders the edges by `(u, v, t)`,
-  * adjacent duplicates are dropped, and the same sort then fills each view
-  * and its offsets from that ordering. A derived graph maps the id columns
-  * and builds once: `collapseStatic` zeroes `t`, and `compact`, the one
-  * renumbering pass, drops ids without an edge and numbers V in relative
-  * order or by ascending static degree (VFree's order). GFCore's cores and
-  * `Enumerators.reorderByDegree` are `compact` over their edges.
+  * A graph of labelled edges comes from one builder, `fromInternal`, over
+  * packed `Int` id columns: one stable counting sort orders the edges by
+  * `(u, v, t)`, adjacent duplicates are dropped, and the same sort then
+  * fills each view and its offsets from that ordering. A derived graph is
+  * read straight off its parent's views, with no sort over the edges:
+  * `keepSlots`, the one renumbering builder, keeps the edges whose two slots
+  * are alive in a mask, drops ids without a kept edge and numbers V in
+  * relative order or by ascending static degree (VFree's order). GFCore's
+  * cores are `keepSlots` over the cascade's surviving slots, and
+  * `Enumerators.reorderByDegree` over every slot. `collapseStatic` reuses
+  * the static views with one slot per vertex.
   *
   * Size bound: |E| ≤ [[TemporalBipartiteGraph.MaxEdges]] distinct temporal
   * edges, checked by the builder, so the S_U + S_V ≤ 2·|E| slots of both
@@ -98,54 +101,166 @@ final class TemporalBipartiteGraph private (
   /** Momentary degree δ(u, t) for u ∈ U. */
   def mDegU(u: Int, t: Int): Int = { val k = uSlot(u, t); if (k < 0) 0 else gUOff(k + 1) - gUOff(k) }
 
-  /** All temporal edges as fresh id columns `(us, vs, ts)`, in `(u, v, t)` order. */
-  private[repro] def columns: (Array[Int], Array[Int], Array[Int]) = {
-    val us, vs = new Array[Int](ts.length)
-    for (u <- 0 until nU; i <- uOff(u) until uOff(u + 1); e <- tsOff(i) until tsOff(i + 1)) {
-      us(e) = u; vs(e) = uNbr(i)
-    }
-    (us, vs, ts.clone())
-  }
-
-  /** All temporal edges as internal-id triples (u, v, t), in that order. */
-  def internalEdges: Array[(Int, Int, Int)] = {
-    val (us, vs, ts) = columns
-    Array.tabulate(us.length)(e => (us(e), vs(e), ts(e)))
-  }
-
-  /** All temporal edges in original-label space. */
-  def labeledEdges: Array[(Long, Long, Long)] =
-    internalEdges.map { case (u, v, t) => (uLabels(u), vLabels(v), tLabels(t)) }
-
-  /** The one derived-graph builder: the graph of the edges `(us(e), vs(e),
-    * ts(e))`, given in this graph's ids and grouped by u. Ids without an
+  /** The one derived-graph builder: the subgraph of the edges whose U-slot
+    * and V-slot are both alive, read straight off the slot views. `alive` is
+    * indexed like GFCore's table, U-slot k at k and V-slot k at S_U + k, and
+    * a slot is alive iff its entry is positive. Ids and slots without a kept
     * edge are dropped; U and T keep their relative order, and V is numbered
-    * by ascending (static degree among the edges, old id) if `byDegree`, in
-    * relative order otherwise. Labels are carried over. Rewrites the columns
-    * in place, so they must not be another graph's arrays.
+    * by ascending (static degree among the kept edges, old id) if
+    * `byDegree`, in relative order otherwise. Labels are carried over.
+    * O(|E| + nU + nV + nT), every array at its exact size, and no sort over
+    * the edges: each list comes out ascending from the order it is filled in.
     */
-  private[repro] def compact(us: Array[Int], vs: Array[Int], ts: Array[Int], byDegree: Boolean): TemporalBipartiteGraph = {
-    // Renumbers `col` onto 0 until k by ascending (key, old id), with key ≥ 1 on the used ids and 0
-    // on the rest, which fill bucket 0 and are dropped; returns the kept labels.
-    def renumber(col: Array[Int], labels: Array[Long], nKeys: Int, key: Array[Int]): Array[Long] = {
-      val (order, off) = TemporalBipartiteGraph.countingSort(Array.range(0, labels.length), nKeys, key)
-      val newId = new Array[Int](labels.length)
-      for (r <- off(1) until order.length) newId(order(r)) = r - off(1)
-      col.indices.foreach(i => col(i) = newId(col(i)))
-      Array.tabulate(order.length - off(1))(r => labels(order(off(1) + r)))
+  private[repro] def keepSlots(alive: Array[Int], byDegree: Boolean): TemporalBipartiteGraph = {
+    val nSU = uSlotT.length
+    require(alive.length == nSU + vSlotT.length, s"alive has ${alive.length} entries for ${nSU + vSlotT.length} slots")
+    // One walk over the U-slots: each slot's kept entries (cnt, indexed like
+    // alive), the kept u and t, and V's static degree among the kept edges
+    // (lastU(v) is the last u counted for v; the walk is grouped by u).
+    val cnt = new Array[Int](alive.length)
+    val keptU = new Array[Int](nU); val keptT = new Array[Int](nT)
+    val vDeg = new Array[Int](nV); val lastU = Array.fill(nV)(-1)
+    var nE, nSU2, nSV2 = 0
+    var u = 0
+    while (u < nU) {
+      var k = uSlotOff(u)
+      while (k < uSlotOff(u + 1)) {
+        if (alive(k) > 0) {
+          var i = gUOff(k)
+          while (i < gUOff(k + 1)) {
+            val j = nSU + gUNbr(i)
+            if (alive(j) > 0) {
+              if (cnt(j) == 0) nSV2 += 1
+              cnt(k) += 1; cnt(j) += 1; nE += 1
+              val v = vOfSlot(gUNbr(i))
+              if (lastU(v) != u) { lastU(v) = u; vDeg(v) += 1 }
+            }
+            i += 1
+          }
+          if (cnt(k) > 0) { keptU(u) = 1; keptT(uSlotT(k)) = 1; nSU2 += 1 }
+        }
+        k += 1
+      }
+      u += 1
     }
-    def used(col: Array[Int], n: Int) = { val key = new Array[Int](n); col.foreach(key(_) = 1); key }
-    val vDeg = new Array[Int](nV) // static degree: the edges come grouped by u
-    val lastU = Array.fill(nV)(-1)
-    for (e <- us.indices if lastU(vs(e)) != us(e)) { lastU(vs(e)) = us(e); vDeg(vs(e)) += 1 }
-    TemporalBipartiteGraph.fromInternal(us, vs, ts, renumber(us, uLabels, 2, used(us, nU)),
-      renumber(vs, vLabels, nU + 1, if (byDegree) vDeg else used(vs, nV)), renumber(ts, tLabels, 2, used(ts, nT)))
+
+    // New ids: ascending (key, old id) over the ids with key ≥ 1. Returns the
+    // kept old ids in new order.
+    def renumber(key: Array[Int], nKeys: Int): Array[Int] = {
+      val (order, off) = TemporalBipartiteGraph.countingSort(Array.range(0, key.length), nKeys, key)
+      java.util.Arrays.copyOfRange(order, off(1), order.length)
+    }
+    val uOld = renumber(keptU, 2); val tOld = renumber(keptT, 2)
+    val vOld = renumber(if (byDegree) vDeg else vDeg.map(_ min 1), nU + 1)
+    val nU2 = uOld.length; val nV2 = vOld.length
+    val newT = new Array[Int](nT)
+    for (r <- tOld.indices) newT(tOld(r)) = r
+
+    // U-slots: the kept ones in their old order, which is (new u, new t) order.
+    val newUSlot = new Array[Int](nSU)
+    val uSlotOff2 = new Array[Int](nU2 + 1); val uSlotT2 = new Array[Int](nSU2)
+    val gUOff2 = new Array[Int](nSU2 + 1); val uOfSlot2 = new Array[Int](nSU2)
+    var s = 0
+    var u2 = 0
+    while (u2 < nU2) {
+      var k = uSlotOff(uOld(u2))
+      while (k < uSlotOff(uOld(u2) + 1)) {
+        if (cnt(k) > 0) {
+          newUSlot(k) = s; uSlotT2(s) = newT(uSlotT(k)); uOfSlot2(s) = u2
+          gUOff2(s + 1) = gUOff2(s) + cnt(k)
+          s += 1
+        }
+        k += 1
+      }
+      uSlotOff2(u2 + 1) = s
+      u2 += 1
+    }
+
+    // V-slots in (new v, t) order, each Γ(v, t) filtered and renumbered. The
+    // same walk transposes every entry into Γ(u, t), which comes out
+    // ascending, and scatters (v, t) into u's bucket of temporal edges (u's
+    // kept edges sit at gUOff2(uSlotOff2(u)) on), which comes out in (v, t)
+    // order: the static views' order.
+    val vSlotOff2 = new Array[Int](nV2 + 1); val vSlotT2 = new Array[Int](nSV2)
+    val gVOff2 = new Array[Int](nSV2 + 1); val vOfSlot2 = new Array[Int](nSV2)
+    val gVNbr2, gUNbr2, bucketV, ts2 = new Array[Int](nE)
+    val gUNext = java.util.Arrays.copyOf(gUOff2, nSU2)
+    val bucketNext = Array.tabulate(nU2)(x => gUOff2(uSlotOff2(x)))
+    s = 0
+    var e, v2 = 0
+    while (v2 < nV2) {
+      var j = vSlotOff(vOld(v2))
+      while (j < vSlotOff(vOld(v2) + 1)) {
+        if (cnt(nSU + j) > 0) {
+          val t2 = newT(vSlotT(j))
+          vSlotT2(s) = t2; vOfSlot2(s) = v2
+          var i = gVOff(j)
+          while (i < gVOff(j + 1)) {
+            val k = gVNbr(i)
+            if (alive(k) > 0) {
+              val k2 = newUSlot(k); val b = bucketNext(uOfSlot2(k2))
+              gVNbr2(e) = k2; e += 1
+              gUNbr2(gUNext(k2)) = s; gUNext(k2) += 1
+              bucketV(b) = v2; ts2(b) = t2; bucketNext(uOfSlot2(k2)) = b + 1
+            }
+            i += 1
+          }
+          gVOff2(s + 1) = e
+          s += 1
+        }
+        j += 1
+      }
+      vSlotOff2(v2 + 1) = s
+      v2 += 1
+    }
+
+    // Static views: each run of one v in u's bucket is a static edge (u, v)
+    // whose timestamps are the run. v → U is filled in u order, so ascending.
+    val vOff2 = new Array[Int](nV2 + 1)
+    for (r <- 0 until nV2) vOff2(r + 1) = vOff2(r) + vDeg(vOld(r))
+    val nSe = vOff2(nV2)
+    val uOff2 = new Array[Int](nU2 + 1); val uNbr2, vNbr2 = new Array[Int](nSe); val tsOff2 = new Array[Int](nSe + 1)
+    val vNext = java.util.Arrays.copyOf(vOff2, nV2)
+    s = 0
+    u2 = 0
+    while (u2 < nU2) {
+      val lo = gUOff2(uSlotOff2(u2))
+      var b = lo
+      while (b < gUOff2(uSlotOff2(u2 + 1))) {
+        if (b == lo || bucketV(b) != bucketV(b - 1)) {
+          uNbr2(s) = bucketV(b); tsOff2(s) = b; vNbr2(vNext(bucketV(b))) = u2; vNext(bucketV(b)) += 1
+          s += 1
+        }
+        b += 1
+      }
+      uOff2(u2 + 1) = s
+      u2 += 1
+    }
+    tsOff2(nSe) = nE
+    def labels(old: Array[Int], of: Array[Long]) = Array.tabulate(old.length)(r => of(old(r)))
+    new TemporalBipartiteGraph(nU2, nV2, tOld.length, uOff2, uNbr2, tsOff2, ts2, vOff2, vNbr2,
+      uSlotOff2, uSlotT2, gUOff2, gUNbr2, vSlotOff2, vSlotT2, gVOff2, gVNbr2, vOfSlot2,
+      labels(uOld, uLabels), labels(vOld, vLabels), labels(tOld, tLabels))
   }
 
-  /** Static bipartite projection (every timestamp collapsed onto t = 0). */
+  /** Static bipartite projection: every timestamp collapsed onto t = 0, so
+    * each vertex with an edge has one slot, whose Γ(w, 0) is N(w). All ids
+    * are kept, and the static views are shared with this graph.
+    */
   def collapseStatic: TemporalBipartiteGraph = {
-    val (us, vs, _) = columns
-    TemporalBipartiteGraph.fromInternal(us, vs, new Array[Int](us.length), uLabels, vLabels, Array(0L))
+    // per vertex the number of vertices with an edge before it (its slot, if it has one),
+    // and per slot its vertex
+    def slots(off: Array[Int]): (Array[Int], Array[Int]) = {
+      val slotOff = new Array[Int](off.length)
+      for (w <- 0 until off.length - 1) slotOff(w + 1) = slotOff(w) + (if (off(w + 1) > off(w)) 1 else 0)
+      (slotOff, (0 until off.length - 1).filter(w => off(w + 1) > off(w)).toArray)
+    }
+    val (uSlotOff1, uOf) = slots(uOff); val (vSlotOff1, vOf) = slots(vOff)
+    new TemporalBipartiteGraph(nU, nV, 1, uOff, uNbr, Array.range(0, uNbr.length + 1), new Array[Int](uNbr.length),
+      vOff, vNbr,
+      uSlotOff1, new Array[Int](uOf.length), uOf.map(uOff) :+ uNbr.length, uNbr.map(vSlotOff1),
+      vSlotOff1, new Array[Int](vOf.length), vOf.map(vOff) :+ vNbr.length, vNbr.map(uSlotOff1),
+      vOf, uLabels, vLabels, Array(0L))
   }
 }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.graph.{AlphaBetaCore, TemporalBipartiteGraph}
+import repro.graph.GraphEdges._
 
 /** Reference (τ_V, τ_U, λ)-core (Definition 3.2), written independently of
   * [[GFCore]]'s cascade: alternate per-snapshot (τ_V, τ_U)-core peeling and

@@ -6,6 +6,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.graph.{GraphGen, TemporalBipartiteGraph}
+import repro.graph.GraphEdges._
 
 class GFCoreSpec extends AnyFunSuite {
 

@@ -4,6 +4,7 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 import repro.SparkSpec
+import repro.graph.GraphEdges._
 
 /** `TemporalBipartiteGraph.fromDF` input checks: null ids fail clearly, and
   * every `Long` (negative ones too) is a valid label.

@@ -6,14 +6,16 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.core.{BruteForce, Enumerators, GFCore, Params}
+import repro.graph.GraphEdges._
 import repro.graph.GraphGen.{check, edges => genEdges}
 
-/** ScalaCheck properties of the one graph builder and of every graph
-  * derived through it (the one compaction, as GFCore's core, its
-  * degree-ordered form and `reorderByDegree`; and `collapseStatic`), on
-  * generated small graphs with duplicate edges, negative labels and empty edge sets; Java
-  * serialisation of a built graph; plus the edge cases an empty graph, a
-  * filter that removes everything and `|T| = 70` (two `TBits` words).
+/** ScalaCheck properties of the graph builder `fromInternal` and of every
+  * derived graph (the slot-mask builder `keepSlots` under random masks, as
+  * GFCore's core, its degree-ordered form and `reorderByDegree`; and
+  * `collapseStatic`), on generated small graphs with duplicate edges,
+  * negative labels and empty edge sets; Java serialisation of a built and a
+  * derived graph; plus the edge cases an empty graph, an all-dead mask, a filter
+  * that removes everything and `|T| = 70` (two `TBits` words).
   */
 class GraphBuilderPropertiesSpec extends AnyFunSuite {
 
@@ -47,16 +49,85 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
   }
 
   /** `g` with the ids without an edge dropped, U and T in relative order
-    * and V by ascending (structural degree, id): a `sortBy` reference.
+    * and V by ascending (structural degree, id), or in relative order
+    * without `byDegree`: a `sortBy` reference through `fromInternal`.
     */
-  private def byDegreeReference(g: TemporalBipartiteGraph): TemporalBipartiteGraph = {
+  private def byDegreeReference(g: TemporalBipartiteGraph, byDegree: Boolean = true): TemporalBipartiteGraph = {
     val es = g.internalEdges
     val us = (0 until g.nU).filter(g.sDegU(_) > 0)
-    val vs = (0 until g.nV).filter(g.sDegV(_) > 0).sortBy(v => (g.sDegV(v), v))
+    val vs = (0 until g.nV).filter(g.sDegV(_) > 0).sortBy(v => if (byDegree) (g.sDegV(v), v) else (0, v))
     val ts = es.map(_._3).distinct.sorted.toSeq
     val (uId, vId, tId) = (us.zipWithIndex.toMap, vs.zipWithIndex.toMap, ts.zipWithIndex.toMap)
     TemporalBipartiteGraph.fromInternal(es.map(e => uId(e._1)), es.map(e => vId(e._2)), es.map(e => tId(e._3)),
       us.map(g.uLabels).toArray, vs.map(g.vLabels).toArray, ts.map(g.tLabels).toArray)
+  }
+
+  /** A graph of [[GraphGen.graphs]] with a random `keepSlots` mask over its
+    * U-slots then V-slots: each slot alive (1 or 3) with one probability
+    * per mask, dead (0) otherwise, so some alive slots have only dead
+    * neighbours, which GFCore's masks never hold.
+    */
+  private val masked: Gen[(TemporalBipartiteGraph, Array[Int])] = for {
+    g <- GraphGen.graphs
+    pAlive <- Gen.oneOf(0.2, 0.5, 0.8, 1.0)
+    mask <- Gen.listOfN(g.uSlotT.length + g.vSlotT.length,
+      Gen.choose(0.0, 1.0).flatMap(x => if (x < pAlive) Gen.oneOf(1, 3) else Gen.const(0)))
+  } yield (g, mask.toArray)
+
+  /** Whether some alive slot of the mask lists only dead slots. */
+  private def hasStrandedSlot(g: TemporalBipartiteGraph, alive: Array[Int]): Boolean = {
+    val nSU = g.uSlotT.length
+    def stranded(k: Int, off: Array[Int], nbr: Array[Int], base: Int) =
+      (off(k) until off(k + 1)).forall(i => alive(base + nbr(i)) == 0)
+    (0 until nSU).exists(k => alive(k) > 0 && stranded(k, g.gUOff, g.gUNbr, nSU)) ||
+      g.vSlotT.indices.exists(k => alive(nSU + k) > 0 && stranded(k, g.gVOff, g.gVNbr, 0))
+  }
+
+  test("keepSlots ≡ fromInternal of the edges with both slots alive, renumbered by the reference") {
+    var stranded = 0
+    check(forAll(masked, Gen.oneOf(false, true)) { case ((g, alive), byDegree) =>
+      if (hasStrandedSlot(g, alive)) stranded += 1
+      // the kept edges found through the slot binary searches, in g's id space
+      val kept = g.internalEdges.filter { case (u, v, t) =>
+        alive(g.uSlot(u, t)) > 0 && alive(g.uSlotT.length + g.vSlot(v, t)) > 0
+      }
+      val h = TemporalBipartiteGraph.fromInternal(kept.map(_._1), kept.map(_._2), kept.map(_._3),
+        g.uLabels, g.vLabels, g.tLabels)
+      val got = GraphFields(g.keepSlots(alive, byDegree))
+      val want = GraphFields(byDegreeReference(h, byDegree))
+      (got == want) :| s"byDegree $byDegree\ngot $got\nwant $want"
+    })
+    assert(stranded > 0, "no mask had an alive slot with only dead neighbours")
+  }
+
+  test("GFCore.degreeOrdered ≡ the sortBy reference over fromEdges of the kept labelled edges") {
+    check(forAll(genEdges, genParams) { (es, p) =>
+      val g = TemporalBipartiteGraph.fromEdges(es)
+      val kept = GFCore.filterEdges(g, p).map { case (u, v, t) => (g.uLabels(u), g.vLabels(v), g.tLabels(t)) }
+      val got = GraphFields(GFCore.degreeOrdered(g, p))
+      val want = GraphFields(byDegreeReference(TemporalBipartiteGraph.fromEdges(kept)))
+      (got == want) :| s"got $got\nwant $want"
+    })
+  }
+
+  test("keepSlots with an all-dead mask gives a 0×0×0 graph") {
+    check(forAll(GraphGen.graphs, Gen.oneOf(false, true)) { (g, byDegree) =>
+      val h = g.keepSlots(new Array[Int](g.uSlotT.length + g.vSlotT.length), byDegree)
+      (h.nU == 0 && h.nV == 0 && h.nT == 0 && h.temporalEdgeCount == 0 && h.staticEdgeCount == 0) :|
+        s"${h.nU}×${h.nV}×${h.nT}, ${h.temporalEdgeCount} edges"
+    })
+  }
+
+  test("keepSlots with an all-alive mask drops isolated vertices and empty timestamps") {
+    // labels 0–2 on each side, one edge (1, 2, 1): the other ids have none
+    val g = TemporalBipartiteGraph.fromInternal(Array(1), Array(2), Array(1),
+      Array(10L, 11L, 12L), Array(20L, 21L, 22L), Array(30L, 31L, 32L))
+    for (byDegree <- Seq(false, true)) {
+      val h = g.keepSlots(Array.fill(g.uSlotT.length + g.vSlotT.length)(1), byDegree)
+      assert(h.nU == 1 && h.nV == 1 && h.nT == 1 && h.temporalEdgeCount == 1)
+      assert(h.uLabels.toSeq == Seq(11L) && h.vLabels.toSeq == Seq(22L) && h.tLabels.toSeq == Seq(31L))
+      assert(GraphFields(h) == GraphReference.of(Seq((11L, 22L, 31L))))
+    }
   }
 
   test("reorderByDegree ≡ the sortBy reference; g is left intact") {
@@ -75,6 +146,14 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
       val want = GraphFields(TemporalBipartiteGraph.fromEdges(es.map { case (u, v, _) => (u, v, 0L) }))
       (got == want) :| s"got $got\nwant $want"
     })
+    // isolated vertices stay, with no slot
+    check(forAll(GraphGen.graphs) { g =>
+      val es = g.internalEdges
+      val got = GraphFields(g.collapseStatic)
+      val want = GraphFields(TemporalBipartiteGraph.fromInternal(es.map(_._1), es.map(_._2), new Array[Int](es.length),
+        g.uLabels, g.vLabels, Array(0L)))
+      (got == want) :| s"got $got\nwant $want"
+    })
   }
 
   /** Java serialisation (what a Spark broadcast does) there and back. */
@@ -87,9 +166,12 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
   }
 
   test("a graph survives Java serialisation, field by field") {
-    check(forAll(GraphGen.graphs) { g =>
-      val back = GraphFields(roundTrip(g))
-      (back == GraphFields(g)) :| s"got $back\nwant ${GraphFields(g)}"
+    // a built graph and a keepSlots graph derived from it (what DistributedMfg broadcasts)
+    check(forAll(masked, Gen.oneOf(false, true)) { case ((g, alive), byDegree) =>
+      Prop.all(Seq(g, g.keepSlots(alive, byDegree)).map { h =>
+        val back = GraphFields(roundTrip(h))
+        (back == GraphFields(h)) :| s"got $back\nwant ${GraphFields(h)}"
+      }: _*)
     })
     val empty = TemporalBipartiteGraph.fromEdges(Nil)
     assert(GraphFields(roundTrip(empty)) == GraphFields(empty))

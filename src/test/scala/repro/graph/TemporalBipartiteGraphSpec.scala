@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.core.{Enumerators, GFCore, Params}
+import repro.graph.GraphEdges._
 
 class TemporalBipartiteGraphSpec extends AnyFunSuite {
 

@@ -3,6 +3,7 @@ package repro.spark
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.core.Frequency
 import repro.graph.TemporalBipartiteGraph
+import repro.graph.GraphEdges._
 
 /** DuckDB checks of the graph and frequency code the enumerators run: the
   * static view, the m-degrees, Lemma 3.2's T(v) bitsets, the support

@@ -7,6 +7,7 @@ import org.scalacheck.Prop.{forAll, propBoolean}
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{BruteForce, Enumerators, Params}
 import repro.graph.{GraphGen, TemporalBipartiteGraph}
+import repro.graph.GraphEdges._
 
 /** The distributed pipeline (`fromDF` + GFCore + degree reorder on the
   * driver, broadcast graph, seed-parallel VFree) must return exactly the

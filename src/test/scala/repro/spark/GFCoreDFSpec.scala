@@ -3,6 +3,7 @@ package repro.spark
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{GFCore, Params}
 import repro.graph.{GraphFields, TemporalBipartiteGraph}
+import repro.graph.GraphEdges._
 
 /** The Catalyst GFCore must compute exactly the same (τ_V, τ_U, λ)-core as
   * the in-memory peeling implementation (the fixpoint is unique), and a
