@@ -41,12 +41,14 @@ object Deadline {
   * no clock calls per node.
   * `step1Touches` and `step3Touches` are VFree's Theorem 4.2 cost terms as
   * deterministic counts: Γ(v, t) entries read by Step 1, and the entries
-  * read by Steps 3–4 and Theorem 4.1's test — the Γ(u, t) entries Step 3
+  * read by Steps 3–4 and Theorem 4.1's tests — the Γ(u, t) entries Step 3
   * scans or walks past above its later-sibling bound, those of the lower-id
-  * maximality pass and the Γ(w, t) entries of its witness test.
-  * `maxChecks` counts the would-be results that reached Theorem 4.1's test
-  * and `witnessHits` those that the witness settled. `maxDepth` is the
-  * largest |V_S| a VFree node reached. All but the times are deterministic,
+  * maximality pass, and the Γ(w, t) entries of the witness's extension and
+  * dominance tests. `maxChecks` counts the would-be results that reached
+  * Theorem 4.1's test and `witnessHits` those that the witness settled.
+  * `dominatedCuts` counts the frequent nodes whose children and emit were
+  * skipped because the witness dominates them. `maxDepth` is the largest
+  * |V_S| a VFree node reached. All but the times are deterministic,
   * whatever the number of workers.
   */
 final class EnumStats extends Serializable {
@@ -60,6 +62,7 @@ final class EnumStats extends Serializable {
   var step3Touches: Long = 0L   // VFree: entries read by Steps 3–4 and Theorem 4.1's test
   var maxChecks: Long = 0L      // VFree: would-be results given Theorem 4.1's test
   var witnessHits: Long = 0L    // VFree: of those, the ones the witness settled
+  var dominatedCuts: Long = 0L  // VFree: nodes cut because the witness dominates them
   var maxDepth: Int = 0         // VFree: largest |V_S| of a search node
 
   /** Adds another run's search counters to these (`maxDepth` by max); the
@@ -74,6 +77,7 @@ final class EnumStats extends Serializable {
     step3Touches += o.step3Touches
     maxChecks += o.maxChecks
     witnessHits += o.witnessHits
+    dominatedCuts += o.dominatedCuts
     maxDepth = math.max(maxDepth, o.maxDepth)
   }
 

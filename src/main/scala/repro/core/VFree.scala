@@ -2,11 +2,9 @@ package repro.core
 
 import repro.graph.TemporalBipartiteGraph
 
-import java.util.concurrent.ConcurrentHashMap
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 /** Verification-Free approach (Algorithm 4).
   *
@@ -31,11 +29,13 @@ import scala.jdk.CollectionConverters._
   * slot order is vertex order), and no v' there is in V_S. The lower ids
   * v' < v matter only to Theorem 4.1's test at a would-be result (V_S'
   * frequent, C_V* = ∅, |V_S'| ≥ τ_V), so `notRepeat` counts them there
-  * alone, stopping at the first v' that extends V_S'. Step 1 and the
-  * restore step find v's slots by merging the ascending C_T with them; a
-  * V-slot's v (`vOfSlot`) is read only when its count reaches τ_U. The
-  * search makes no clock calls per node: [[runSeed]] times each seed as one
-  * span of `stats.cmNanos`.
+  * alone, stopping at the first v' that extends V_S'. Steps 1–2 run as one
+  * pass that merges the ascending C_T with v's slots and stores each
+  * survived t's cand_U; Steps 3–4 then run over the stored lists, and only
+  * at a frequent node that the dominance cut (below) keeps. The restore
+  * step takes the same merge as Step 1. A V-slot's v (`vOfSlot`) is read
+  * only when its count reaches τ_U. The search makes no clock calls per
+  * node: [[runSeed]] times each seed as one span of `stats.cmNanos`.
   *
   * A search node allocates nothing. cand_U and cand_V are shared arrays
   * that a node fills and consumes before its first recursive call. C_T' and
@@ -44,17 +44,17 @@ import scala.jdk.CollectionConverters._
   * the parent's segment. V_S is an array indexed by depth.
   *
   * Memory per engine: one `Int` per U-slot, an `Int` and a `Long` per
-  * V-slot (all at most |E|) and O(nU + nV) more, plus at most
+  * V-slot (all at most |E|), the largest Σ_t |Γ(v, t)| of any v plus 2·nT
+  * for the stored cand_U lists, and O(nU + nV) more, plus at most
   * nT + depth·(nT + nV) stack entries; [[run]] with k workers holds k
-  * engines. Depth: along a branch V_S is ascending and every subset
-  * of a frequent V_S is frequent (Lemma 2.2), so at τ_V ≤ 2 every ascending
-  * subset of a depth-d V_S that starts at the seed is a node of that seed:
-  * depth d costs at least 2^(d−1) nodes (the subsets keeping V_S's last
-  * τ_V − 1 vertices, 2^(d−τ_V), at larger τ_V). On a complete biclique the
-  * bound is met exactly. A frame holds only scalars, so search time bounds
-  * the depth long before the `-Xss64m` thread stack does. Worker threads
-  * are created with the JVM's default stack size, so that `-Xss` (which the
-  * tests and perfbench set to 64m) covers them as it covers the caller.
+  * engines. Depth: a node is expanded only from a frequent parent, so the
+  * recursion is at most one deeper than the largest frequent group. The
+  * node count no longer grows with 2^depth: the dominance cut takes
+  * K(3, 40) at (3, 2, 3) in 19,839 nodes, against the 2^40 − 1 of its
+  * subset lattice. A frame holds only scalars, so a depth in the thousands
+  * fits the `-Xss64m` thread stack. Worker threads are created with the
+  * JVM's default stack size, so that `-Xss` (which the tests and perfbench
+  * set to 64m) covers them as it covers the caller.
   *
   * The caller numbers V by ascending structural degree in the graph's one
   * derived-graph builder (`keepSlots`), over the core's surviving slots
@@ -72,8 +72,9 @@ import scala.jdk.CollectionConverters._
   * are themselves infrequent or undersized would be reported (DESIGN.md §6);
   * brute-force cross-validation pins this down.
   *
-  * Two exact cuts are added to the printed algorithm; they drop reads only,
-  * and leave the nodes, results, C_V* and `maxDepth` as they were:
+  * Three exact cuts are added to the printed algorithm. None changes the
+  * results. The first two drop reads only, and leave the nodes, C_V* and
+  * `maxDepth` as they were; the third drops whole subtrees:
   *  - Later-sibling bound (Lemma 2.2). A child's C_V* lies within its
   *    parent's C_V* above the child's v, so [[branch]] takes `hiV`, the last
   *    entry of the parent's C_V*, and Step 3 does no counting at the V-slots
@@ -86,6 +87,17 @@ import scala.jdk.CollectionConverters._
   *    GenMax's progressive focusing (Gouda & Zaki, ICDM 2001). [[runSeed]]
   *    resets the witness, so every counter of a seed is the same whatever
   *    the engine ran before.
+  *  - Dominance cut (Theorem 4.1). Let the witness w be below v and outside
+  *    V_S', and adjacent, at every survived t of a frequent node, to every u
+  *    of cand_U(t). The node's descendants add only ids above v, so each
+  *    frequent one keeps a subset of C_T' and of each cand_U, and w extends
+  *    it as it extends V_S'. Theorem 4.1 would reject every would-be result
+  *    of the subtree, so the node skips Steps 3–4, its children, its emit
+  *    and its `notRepeat` call (`stats.dominatedCuts`). The test runs right
+  *    after Steps 1–2, one merge of each stored cand_U(t) with Γ(w, t). It
+  *    is the maximality pruning of MBEA/iMBEA for maximal bicliques (Zhang
+  *    et al., BMC Bioinformatics 2014) and LCM's closure test (Uno, Kiyomi &
+  *    Arimura, FIMI 2004), asked of the witness alone.
   */
 final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Serializable {
   val stats = new EnumStats
@@ -100,7 +112,13 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   private val visitV = new Array[Long](vSlotT.length) // last timestamp pass that touched the slot
   private var pass = 0L // a Long count cannot wrap in any run, so visitV is never reset
   // Filled and consumed by one node before its first recursive call.
-  private val candU = new Array[Int](g.nU) // U-slots of one t
+  // candU holds the cand_U (U-slots) of each survived t back to back, so it
+  // is sized to the largest Σ_t |Γ(v, t)|; candN(i) and candK(i) are the
+  // size of the i-th survived t's cand_U and v's slot at that t.
+  private val candU = new Array[Int]((0 until g.nV).iterator
+    .map(v => gVOff(vSlotOff(v + 1)) - gVOff(vSlotOff(v))).maxOption.getOrElse(0))
+  private val candN = new Array[Int](g.nT)
+  private val candK = new Array[Int](g.nT)
   private val candV = new Array[Int](g.nV)
   private val vs = new Array[Int](g.nV) // V_S by depth, ascending
   // Per-depth segments [C_T' | C_V*]; the bottom nT entries are the root's C_T.
@@ -132,21 +150,21 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
       stack = java.util.Arrays.copyOf(stack, math.max(base + ctLen + g.nV, 2 * stack.length))
     val st = stack // a child may replace `stack` when it grows; re-read after recursing
 
+    // Steps 1–2 in one pass over C_T, merged with v's slots: Step 1
+    // ascertains from U the common m-neighbors of V_S' at t, Step 2 keeps t
+    // when there are τ_U of them. Each survived t's cand_U goes back to back
+    // into candU, with its size and v's slot at t in candN and candK.
     var nCt = 0
-    var nCandV = 0
+    var nCand = 0
     var touch1 = 0L
-    var touch3 = 0L
     val kEnd = vSlotOff(v + 1)
-    val later = hiV > v // else C_V* is empty: it lies within the later siblings'
-    val kHi = vSlotOff(hiV + 1) // slots of the v' ≤ hiV lie below, at every t
-    var k = vSlotOff(v) // v's slot cursor, merged with the ascending C_T
+    var k = vSlotOff(v)
     var ti = 0
     while (ti < ctLen && k < kEnd) {
       val t = st(ctOff + ti)
       k = seek(k, kEnd, t)
       if (k < kEnd && vSlotT(k) == t) {
-        // Step 1: ascertain from U — common m-neighbors of V_S' at t.
-        var nCandU = 0
+        var n = 0
         var i = gVOff(k)
         val end = gVOff(k + 1)
         touch1 += end - i
@@ -154,68 +172,42 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
           val su = gVNbr(i)
           val c = cntU(su) + 1
           cntU(su) = c
-          if (c == vsSize2) { candU(nCandU) = su; nCandU += 1 }
+          if (c == vsSize2) { candU(nCand + n) = su; n += 1 }
           i += 1
         }
-        // Step 2: termination check — survived timestamp?
-        if (nCandU >= p.tauU) {
+        if (n >= p.tauU) {
           st(base + nCt) = t
+          candN(nCt) = n
+          candK(nCt) = k
           nCt += 1
-          // Step 3: reverse-ascertain from V over the v' in (v, hiV] (slots
-          // in (k, kHi)) of each ascending Γ(u, t); Step 4: survived count
-          // update. The entries at or above kHi are walked past.
-          if (later) {
-            pass += 1
-            var ci = 0
-            while (ci < nCandU) {
-              val lo = gUOff(candU(ci))
-              val hi = gUOff(candU(ci) + 1)
-              var j = hi - 1
-              while (j >= lo && gUNbr(j) >= kHi) j -= 1
-              while (j >= lo && gUNbr(j) > k) {
-                val s2 = gUNbr(j)
-                val c =
-                  if (visitV(s2) != pass) { visitV(s2) = pass; cntVT(s2) = 1; 1 }
-                  else { cntVT(s2) += 1; cntVT(s2) }
-                if (c == p.tauU) {
-                  val v2 = vOfSlot(s2)
-                  if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
-                  cntT(v2) += 1
-                }
-                j -= 1
-              }
-              touch3 += hi - 1 - j
-              ci += 1
-            }
-          }
+          nCand += n
         }
         k += 1
       }
       ti += 1
     }
-
-    // Valid candidate set from cntT.
-    val cvOff = base + nCt
-    var nCv = 0
-    var c = 0
-    while (c < nCandV) {
-      val v2 = candV(c)
-      if (cntT(v2) >= p.lambda) { st(cvOff + nCv) = v2; nCv += 1 }
-      cntT(v2) = 0
-      c += 1
-    }
-    val frequent = nCt >= p.lambda
     stats.step1Touches += touch1
-    stats.step3Touches += touch3
-    val emit = frequent && nCv == 0 && vsSize2 >= p.tauV && notRepeat(v, vsSize2, base, nCt)
 
-    if (frequent && vsSize2 + nCv >= p.tauV && nCv > 0) {
-      java.util.Arrays.sort(st, cvOff, cvOff + nCv) // ascending processing order
-      val last = st(cvOff + nCv - 1)
-      var si = 0
-      while (si < nCv) { branch(stack(cvOff + si), vsSize2, base, nCt, cvOff + nCv, last); si += 1 }
+    // A frequent node with a child or an emit to lose is cut when the
+    // witness dominates it; otherwise Steps 3–4 and Theorem 4.1 run.
+    val later = hiV > v // else C_V* is empty: it lies within the later siblings'
+    if (nCt >= p.lambda && (later || vsSize2 >= p.tauV)) {
+      val w = witness
+      if (w >= 0 && w < v && !inVS(w) && dominates(w, base, nCt)) stats.dominatedCuts += 1
+      else {
+        val cvOff = base + nCt
+        val nCv = if (later) validCandidates(hiV, nCt, cvOff) else 0
+        if (nCv > 0) {
+          if (vsSize2 + nCv >= p.tauV) {
+            java.util.Arrays.sort(st, cvOff, cvOff + nCv) // ascending processing order
+            val last = st(cvOff + nCv - 1)
+            var si = 0
+            while (si < nCv) { branch(stack(cvOff + si), vsSize2, base, nCt, cvOff + nCv, last); si += 1 }
+          }
+        } else if (vsSize2 >= p.tauV && notRepeat(v, vsSize2, base, nCt))
+          results += java.util.Arrays.copyOf(vs, vsSize2)
+      }
     }
-    if (emit) results += java.util.Arrays.copyOf(vs, vsSize2)
 
     // Restore cntU so siblings/parents see the state for V_S alone: the
     // same merge of C_T with v's slots as Step 1.
@@ -234,18 +226,68 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     inVS(v) = false
   }
 
+  /** Steps 3–4 of a frequent node over its nCt stored cand_U lists, then its
+    * valid candidate set: counts, in each ascending Γ(u, t), the v' in
+    * (v, hiV] (slots in (k, kHi), with k v's slot at t) and walks past the
+    * entries at or above kHi. Writes C_V* at stack[cvOff, …) unsorted and
+    * returns its size.
+    */
+  private def validCandidates(hiV: Int, nCt: Int, cvOff: Int): Int = {
+    val kHi = vSlotOff(hiV + 1) // slots of the v' ≤ hiV lie below, at every t
+    var nCandV = 0
+    var touch3 = 0L
+    var ci = 0
+    var i = 0
+    while (i < nCt) {
+      val k = candK(i)
+      val cEnd = ci + candN(i)
+      pass += 1
+      while (ci < cEnd) {
+        val lo = gUOff(candU(ci))
+        val hi = gUOff(candU(ci) + 1)
+        var j = hi - 1
+        while (j >= lo && gUNbr(j) >= kHi) j -= 1
+        while (j >= lo && gUNbr(j) > k) {
+          val s2 = gUNbr(j)
+          val c =
+            if (visitV(s2) != pass) { visitV(s2) = pass; cntVT(s2) = 1; 1 }
+            else { cntVT(s2) += 1; cntVT(s2) }
+          if (c == p.tauU) {
+            val v2 = vOfSlot(s2)
+            if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
+            cntT(v2) += 1
+          }
+          j -= 1
+        }
+        touch3 += hi - 1 - j
+        ci += 1
+      }
+      i += 1
+    }
+    stats.step3Touches += touch3
+    val st = stack
+    var nCv = 0
+    var c = 0
+    while (c < nCandV) {
+      val v2 = candV(c)
+      if (cntT(v2) >= p.lambda) { st(cvOff + nCv) = v2; nCv += 1 }
+      cntT(v2) = 0
+      c += 1
+    }
+    nCv
+  }
+
   /** Theorem 4.1 at a would-be result V_S' = vs[0, size) whose largest id
     * is `v`: true unless some v' < v outside V_S has τ_U common m-neighbors
     * with V_S' at λ of its survived timestamps stack[ctOff, ctOff + nCt).
     * The `witness`, the last v' that extended a would-be result of this
     * seed, is tried first ([[extendedBy]]); a would-be result and the next
     * one mostly share their extender. Otherwise Steps 3–4 run over the
-    * prefix v' < v (slots below v's) of each Γ(u, t), stopping at the first
-    * v' to reach λ, which becomes the witness; a v' in V_S is skipped when
-    * its count reaches τ_U, the only point where it could matter. `cntU`
-    * still holds V_S' and `candV` is free, so cand_U is read off `cntU` and
-    * `candV` lists the v' whose `cntT` this pass raised; it zeroes them
-    * before returning.
+    * prefix v' < v (slots below v's) of each Γ(u, t), u in the stored
+    * cand_U(t), stopping at the first v' to reach λ, which becomes the
+    * witness; a v' in V_S is skipped when its count reaches τ_U, the only
+    * point where it could matter. `candV` is free here, so it lists the v'
+    * whose `cntT` this pass raised; it zeroes them before returning.
     */
   private def notRepeat(v: Int, size: Int, ctOff: Int, nCt: Int): Boolean = {
     stats.maxChecks += 1
@@ -257,40 +299,35 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     var touched = 0
     var touch3 = 0L
     var extended = false
-    val kEnd = vSlotOff(v + 1)
-    var k = vSlotOff(v)
-    var ti = 0
-    while (ti < nCt && !extended) {
-      k = seek(k, kEnd, stack(ctOff + ti)) // v has a slot at every survived t
+    var ci = 0
+    var i = 0
+    while (i < nCt && !extended) {
+      val k = candK(i)
+      val cEnd = ci + candN(i)
       pass += 1
-      var i = gVOff(k)
-      val end = gVOff(k + 1)
-      while (i < end && !extended) {
-        val su = gVNbr(i)
-        if (cntU(su) == size) { // u ∈ cand_U
-          val lo = gUOff(su)
-          val hi = gUOff(su + 1)
-          var j = lo
-          while (j < hi && gUNbr(j) < k && !extended) {
-            val s2 = gUNbr(j)
-            val c =
-              if (visitV(s2) != pass) { visitV(s2) = pass; cntVT(s2) = 1; 1 }
-              else { cntVT(s2) += 1; cntVT(s2) }
-            if (c == p.tauU) {
-              val v2 = vOfSlot(s2)
-              if (!inVS(v2)) {
-                if (cntT(v2) == 0) { candV(touched) = v2; touched += 1 }
-                cntT(v2) += 1
-                if (cntT(v2) >= p.lambda) { extended = true; witness = v2 }
-              }
+      while (ci < cEnd && !extended) {
+        val lo = gUOff(candU(ci))
+        val hi = gUOff(candU(ci) + 1)
+        var j = lo
+        while (j < hi && gUNbr(j) < k && !extended) {
+          val s2 = gUNbr(j)
+          val c =
+            if (visitV(s2) != pass) { visitV(s2) = pass; cntVT(s2) = 1; 1 }
+            else { cntVT(s2) += 1; cntVT(s2) }
+          if (c == p.tauU) {
+            val v2 = vOfSlot(s2)
+            if (!inVS(v2)) {
+              if (cntT(v2) == 0) { candV(touched) = v2; touched += 1 }
+              cntT(v2) += 1
+              if (cntT(v2) >= p.lambda) { extended = true; witness = v2 }
             }
-            j += 1
           }
-          touch3 += j - lo
+          j += 1
         }
-        i += 1
+        touch3 += j - lo
+        ci += 1
       }
-      ti += 1
+      i += 1
     }
     var c = 0
     while (c < touched) { cntT(candV(c)) = 0; c += 1 }
@@ -328,39 +365,80 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     hits >= p.lambda
   }
 
+  /** Whether w dominates the node whose survived timestamps are
+    * stack[ctOff, ctOff + nCt): w has a slot at each such t and Γ(w, t)
+    * holds all of the stored cand_U(t). Both lists ascend, so one merge per
+    * t reads Γ(w, t) up to the first u of cand_U(t) that it lacks. Stops at
+    * the first t where w falls short.
+    */
+  private def dominates(w: Int, ctOff: Int, nCt: Int): Boolean = {
+    var touch = 0L
+    var covered = true
+    val kEnd = vSlotOff(w + 1)
+    var k = vSlotOff(w)
+    var ci = 0
+    var i = 0
+    while (i < nCt && covered) {
+      val t = stack(ctOff + i)
+      k = seek(k, kEnd, t)
+      if (k < kEnd && vSlotT(k) == t) {
+        val cEnd = ci + candN(i)
+        val start = gVOff(k)
+        val end = gVOff(k + 1)
+        var j = start
+        while (ci < cEnd && end - j >= cEnd - ci && gVNbr(j) <= candU(ci)) {
+          if (gVNbr(j) == candU(ci)) ci += 1
+          j += 1
+        }
+        touch += j - start
+        covered = ci == cEnd
+        k += 1
+      } else covered = false
+      i += 1
+    }
+    stats.step3Touches += touch
+    covered
+  }
+
   /** Full enumeration: [[runSeed]] over every root seed, fanned out over
     * k = min(`workers`, nV) engines (`workers` defaults to
     * [[VFree.defaultWorkers]]). The calling thread runs this engine and
     * k − 1 threads named `vfree-worker-i` each run a fresh one; all pull
-    * seeds in ascending id order from one shared cursor and are joined
-    * before `run` returns. Their `stats` are merged into this `stats`, so
-    * the counters are the sums of a sequential run. The first failure of any
-    * worker (`TimeBudgetExceeded`, `IllegalStateException` for a group
-    * emitted twice, `StackOverflowError`) stops the others at their next
-    * seed and is rethrown as it was thrown.
+    * seeds in ascending id order from one shared cursor, keep their groups
+    * in a buffer of their own, and are joined before `run` returns. Their
+    * `stats` are merged into this `stats`, so the counters are the sums of a
+    * sequential run. The first failure of any worker (`TimeBudgetExceeded`,
+    * `StackOverflowError`) stops the others at their next seed and is
+    * rethrown as it was thrown. The buffers then go into one set, whose size
+    * must equal their total: otherwise a group was emitted twice, and `run`
+    * throws an `IllegalStateException` naming it.
     */
   def run(workers: Int = VFree.defaultWorkers): Set[Set[Long]] = {
     require(workers >= 1, s"workers must be positive: $workers")
-    val found = ConcurrentHashMap.newKeySet[Set[Long]]()
     val next = new AtomicInteger(0)
     val failure = new AtomicReference[Throwable]()
-    def work(engine: VFree): Unit =
+    def work(engine: VFree, out: mutable.ArrayBuffer[Set[Long]]): Unit =
       try {
         var seed = next.getAndIncrement()
         while (seed < g.nV && failure.get == null) {
-          for (s <- engine.runSeed(seed))
-            if (!found.add(s)) throw new IllegalStateException(s"VFree emitted group $s twice")
+          out ++= engine.runSeed(seed)
           seed = next.getAndIncrement()
         }
       } catch { case e: Throwable => failure.compareAndSet(null, e) }
-    val engines = Vector.fill(math.min(workers, g.nV) - 1)(new VFree(g, p, deadline))
-    val threads = engines.zipWithIndex.map { case (e, i) => new Thread(() => work(e), s"vfree-worker-${i + 1}") }
+    val engines = this +: Vector.fill(math.min(workers, g.nV) - 1)(new VFree(g, p, deadline))
+    val found = engines.map(_ => mutable.ArrayBuffer.empty[Set[Long]])
+    val threads = (1 until engines.length).map(i => new Thread(() => work(engines(i), found(i)), s"vfree-worker-$i"))
     threads.foreach(_.start())
-    work(this)
+    work(this, found(0))
     threads.foreach(_.join())
-    engines.foreach(e => stats.merge(e.stats))
+    engines.tail.foreach(e => stats.merge(e.stats))
     if (failure.get != null) throw failure.get
-    found.asScala.toSet
+    val groups = found.iterator.flatten.toSet
+    if (groups.size != found.iterator.map(_.length).sum) {
+      val seen = mutable.HashSet.empty[Set[Long]]
+      throw new IllegalStateException(s"VFree emitted group ${found.iterator.flatten.find(!seen.add(_)).get} twice")
+    }
+    groups
   }
 
   /** Enumerates only the MFGs discovered in root branch `seed` (internal

@@ -52,7 +52,7 @@ class VFreeSpec extends AnyFunSuite {
   }
 
   private def counters(s: EnumStats) =
-    (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth, s.maxChecks, s.witnessHits)
+    (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth, s.maxChecks, s.witnessHits, s.dominatedCuts)
 
   test("results do not depend on seed processing order") {
     val g = TestGraphs.random(7, 7, 4, 0.5, 44)
@@ -81,14 +81,19 @@ class VFreeSpec extends AnyFunSuite {
     }
   }
 
-  // Every subset of V is frequent, and every ascending extension is one node:
-  // the search tree is the full subset lattice, 2^n − 1 nodes, with depth n.
-  for (n <- Seq(4, 10, 16))
-    test(s"complete biclique K(3, $n) at 3 timestamps, (3, 2, 3): one group, 2^$n − 1 nodes") {
-      val g = TestGraphs.of((for (u <- 0 until 3; v <- 0 until n; t <- 0 until 3) yield (u, v, t)): _*)
-      val engine = new VFree(g, Params(3, 2, 3), Deadline.unlimited)
+  private def completeBiclique(n: Int) =
+    TestGraphs.of((for (u <- 0 until 3; v <- 0 until n; t <- 0 until 3) yield (u, v, t)): _*)
+
+  // Every subset of V is frequent, so without the dominance cut the search
+  // tree is the full subset lattice, 2^n − 1 nodes. Every v' covers every
+  // cand_U, so once a would-be result sets the witness w, each later node of
+  // the seed with w < v and w ∉ V_S' is cut. The first branch still goes
+  // all the way down, so the depth stays n.
+  for ((n, nodes) <- Seq(4 -> 15L, 10 -> 259L, 16 -> 1151L, 40 -> 19839L))
+    test(s"complete biclique K(3, $n) at 3 timestamps, (3, 2, 3): $nodes nodes, depth $n") {
+      val engine = new VFree(completeBiclique(n), Params(3, 2, 3), Deadline.unlimited)
       assert(engine.run() == Set((0 until n).map(_.toLong).toSet))
-      assert(engine.stats.nodes == (1L << n) - 1)
+      assert(engine.stats.nodes == nodes)
       assert(engine.stats.maxDepth == n)
     }
 
@@ -97,11 +102,7 @@ class VFreeSpec extends AnyFunSuite {
     val g = GFCore.degreeOrdered(TestGraphs.random(30, 30, 8, 0.5, 4242), p)
     val engine = new VFree(g, p, Deadline.unlimited)
     assert(engine.run().size == 27007)
-    assert(engine.stats.nodes == 244790)
-    assert(engine.stats.step1Touches == 16518303L)
-    assert(engine.stats.step3Touches == 12526627L)
-    assert(engine.stats.maxDepth == 11)
-    assert((engine.stats.maxChecks, engine.stats.witnessHits) == (152339L, 53726L))
+    assert(counters(engine.stats) == (238347L, 16293185L, 14469491L, 11, 127174L, 28561L, 23768L))
   }
 
   test("property: run on k ∈ {1, 2, 3, 8} workers ≡ brute force, with the k = 1 counters") {
@@ -142,8 +143,11 @@ class VFreeSpec extends AnyFunSuite {
   }
 
   test("run rethrows TimeBudgetExceeded unwrapped and leaves no worker alive") {
-    val g = TestGraphs.of((for (u <- 0 until 3; v <- 0 until 22; t <- 0 until 3) yield (u, v, t)): _*)
-    intercept[TimeBudgetExceeded](new VFree(g, Params(3, 2, 3), new Deadline(1)).run(4))
+    // The deadline has expired before the run starts, so every engine's
+    // check at its first node, which samples the clock, throws.
+    val deadline = new Deadline(1)
+    Thread.sleep(5)
+    intercept[TimeBudgetExceeded](new VFree(completeBiclique(22), Params(3, 2, 3), deadline).run(4))
     assert(!workersAlive)
   }
 
@@ -187,6 +191,51 @@ class VFreeSpec extends AnyFunSuite {
     val groups = Seq(Seq(0, 1, 2, 4) -> Seq(0, 1), Seq(0, 2, 3) -> Seq(2, 3))
     val edges = for ((vs, ts) <- groups; v <- vs; t <- ts; u <- 0 to 1) yield (u, v, t)
     checkLabelOrder(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L, 2L, 4L), Set(0L, 2L, 3L)))
+  }
+
+  // The dominance cut: the graphs below are fed to the kernel unreordered,
+  // so V's ids are its labels, and each is checked against brute force.
+  private def cutStats(g: repro.graph.TemporalBipartiteGraph, p: Params, want: Set[Set[Long]]): EnumStats = {
+    assert(BruteForce.mfgLabels(g, p) == want)
+    val engine = new VFree(g, p, Deadline.unlimited)
+    assert(engine.run() == want)
+    engine.stats
+  }
+
+  test("dominance cut: fires above a would-be result, and the subtree it skips emits nothing") {
+    // K(3, 5): seed 0 sets the witness to 1 at {0, 2, 3, 4}; {0, 3} is then
+    // dominated, and its child {0, 3, 4} is never expanded. The uncut tree
+    // has 2^5 − 1 = 31 nodes.
+    val s = cutStats(completeBiclique(5), Params(3, 2, 3), Set((0 to 4).map(_.toLong).toSet))
+    assert((s.nodes, s.dominatedCuts) == (29L, 8L))
+  }
+
+  test("dominance cut: not by a witness that misses one u of cand_U at one survived timestamp") {
+    // τ_U = λ = 2, U = {u0, u1}. Seed 1: {1, 2, 3} (t0, t1) is extended by
+    // v0, which becomes the witness. {1, 3} survives at t0, t1, t3; v0
+    // covers cand_U = {u0, u1} at t0 and t1 but has only u0 at t3, so
+    // {1, 3} is not dominated, and its child {1, 3, 4} (t1, t3) is an MFG.
+    val at = Seq(0 -> Seq(0, 1, 2, 3), 1 -> Seq(0, 1, 2, 3, 4), 2 -> Seq(0, 1), 3 -> Seq(1, 3, 4))
+    val edges = (for ((t, vs) <- at; v <- vs; u <- 0 to 1) yield (u, v, t)) :+ ((0, 0, 3))
+    cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L, 2L, 3L), Set(1L, 3L, 4L)))
+  }
+
+  test("dominance cut: not by a witness inside V_S'") {
+    // MFGs {0, 1, 2, 4} (t0, t1) and {0, 2, 3, 5} (t2, t3). In seed 0 the
+    // pass at {0, 1, 4} finds v2, the witness; at {0, 2, 3} it lies in V_S',
+    // where it trivially covers cand_U, and {0, 2, 3, 5} lies below.
+    val groups = Seq(Seq(0, 1, 2, 4) -> Seq(0, 1), Seq(0, 2, 3, 5) -> Seq(2, 3))
+    val edges = for ((vs, ts) <- groups; v <- vs; t <- ts; u <- 0 to 1) yield (u, v, t)
+    cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L, 2L, 4L), Set(0L, 2L, 3L, 5L)))
+  }
+
+  test("dominance cut: not by a witness above the node's largest id") {
+    // MFGs {0, 1, 3, 4} (t0, t1) and {0, 2, 3} (t2, t3). In seed 0 the pass
+    // at {0, 1, 4} finds v3, the witness. v3 covers {0, 2}'s cand_U at t2
+    // and t3, but 3 > 2: it can still join, and does in {0, 2, 3}.
+    val groups = Seq(Seq(0, 1, 3, 4) -> Seq(0, 1), Seq(0, 2, 3) -> Seq(2, 3))
+    val edges = for ((vs, ts) <- groups; v <- vs; t <- ts; u <- 0 to 1) yield (u, v, t)
+    cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L, 3L, 4L), Set(0L, 2L, 3L)))
   }
 
   test("stats.nodes counts one node per branch expansion") {
