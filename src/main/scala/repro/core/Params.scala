@@ -42,14 +42,16 @@ object Deadline {
   * `step1Touches` and `step3Touches` are VFree's Theorem 4.2 cost terms as
   * deterministic counts: Γ(v, t) entries read by Step 1, and the entries
   * read by Steps 3–4 and Theorem 4.1's tests — the Γ(u, t) entries Step 3
-  * scans or walks past above its later-sibling bound, those of the lower-id
-  * maximality pass, and the Γ(w, t) entries of the witness's extension and
-  * dominance tests. `maxChecks` counts the would-be results that reached
-  * Theorem 4.1's test and `witnessHits` those that the witness settled.
-  * `dominatedCuts` counts the frequent nodes whose children and emit were
-  * skipped because the witness dominates them. `maxDepth` is the largest
-  * |V_S| a VFree node reached. All but the times are deterministic,
-  * whatever the number of workers.
+  * scans and the binary-search probes that find its later-sibling bound in
+  * each, those of the lower-id maximality pass, and the Γ(w, t) entries of
+  * the witness's extension and dominance tests. `maxChecks` counts the
+  * would-be results that reached Theorem 4.1's test and `witnessHits` those
+  * that the witness settled. `dominatedCuts` counts the frequent nodes whose
+  * children and emit were skipped because the witness dominates them, and
+  * `coverCuts` the children skipped because a smaller candidate of their
+  * parent's C_V* covers the parent. `maxDepth` is the largest |V_S| a VFree
+  * node reached. All but the times are deterministic, whatever the number
+  * of workers.
   */
 final class EnumStats extends Serializable {
   var nodes: Long = 0L          // search-tree nodes expanded
@@ -63,6 +65,7 @@ final class EnumStats extends Serializable {
   var maxChecks: Long = 0L      // VFree: would-be results given Theorem 4.1's test
   var witnessHits: Long = 0L    // VFree: of those, the ones the witness settled
   var dominatedCuts: Long = 0L  // VFree: nodes cut because the witness dominates them
+  var coverCuts: Long = 0L      // VFree: children skipped because a smaller candidate covers their parent
   var maxDepth: Int = 0         // VFree: largest |V_S| of a search node
 
   /** Adds another run's search counters to these (`maxDepth` by max); the
@@ -78,6 +81,7 @@ final class EnumStats extends Serializable {
     maxChecks += o.maxChecks
     witnessHits += o.witnessHits
     dominatedCuts += o.dominatedCuts
+    coverCuts += o.coverCuts
     maxDepth = math.max(maxDepth, o.maxDepth)
   }
 

@@ -49,12 +49,12 @@ import scala.collection.mutable
   * nT + depth·(nT + nV) stack entries; [[run]] with k workers holds k
   * engines. Depth: a node is expanded only from a frequent parent, so the
   * recursion is at most one deeper than the largest frequent group. The
-  * node count no longer grows with 2^depth: the dominance cut takes
-  * K(3, 40) at (3, 2, 3) in 19,839 nodes, against the 2^40 − 1 of its
-  * subset lattice. A frame holds only scalars, so a depth in the thousands
-  * fits the `-Xss64m` thread stack. Worker threads are created with the
-  * JVM's default stack size, so that `-Xss` (which the tests and perfbench
-  * set to 64m) covers them as it covers the caller.
+  * node count no longer grows with 2^depth: the cover cut takes K(3, 40)
+  * at (3, 2, 3) in 820 nodes, against the 2^40 − 1 of its subset lattice.
+  * A frame holds only scalars, so a depth in the thousands fits the
+  * `-Xss64m` thread stack. Worker threads are created with the JVM's
+  * default stack size, so that `-Xss` (which the tests and perfbench set to
+  * 64m) covers them as it covers the caller.
   *
   * The caller numbers V by ascending structural degree in the graph's one
   * derived-graph builder (`keepSlots`), over the core's surviving slots
@@ -72,13 +72,15 @@ import scala.collection.mutable
   * are themselves infrequent or undersized would be reported (DESIGN.md §6);
   * brute-force cross-validation pins this down.
   *
-  * Three exact cuts are added to the printed algorithm. None changes the
+  * Four exact cuts are added to the printed algorithm. None changes the
   * results. The first two drop reads only, and leave the nodes, C_V* and
-  * `maxDepth` as they were; the third drops whole subtrees:
+  * `maxDepth` as they were; the last two drop whole subtrees:
   *  - Later-sibling bound (Lemma 2.2). A child's C_V* lies within its
   *    parent's C_V* above the child's v, so [[branch]] takes `hiV`, the last
   *    entry of the parent's C_V*, and Step 3 does no counting at the V-slots
-  *    of the v' > hiV (ids at or above `vSlotOff(hiV + 1)`, at every t); the
+  *    of the v' > hiV (ids at or above `vSlotOff(hiV + 1)`, at every t): it
+  *    binary-searches each Γ(u, t) for the first such entry, and
+  *    `stats.step3Touches` counts the probes, not the entries skipped. The
   *    last child skips Step 3. This is the tail bound of set-enumeration
   *    search (MAFIA, Burdick, Calimlim & Gehrke, ICDE 2001).
   *  - Witness-first maximality (Theorem 4.1). `notRepeat` first tries the
@@ -86,7 +88,8 @@ import scala.collection.mutable
   *    full lower-id pass only when that v' does not extend this one. This is
   *    GenMax's progressive focusing (Gouda & Zaki, ICDM 2001). [[runSeed]]
   *    resets the witness, so every counter of a seed is the same whatever
-  *    the engine ran before.
+  *    the engine ran before. The full pass stops once no v' can reach λ in
+  *    the survived timestamps it has left to read.
   *  - Dominance cut (Theorem 4.1). Let the witness w be below v and outside
   *    V_S', and adjacent, at every survived t of a frequent node, to every u
   *    of cand_U(t). The node's descendants add only ids above v, so each
@@ -98,6 +101,19 @@ import scala.collection.mutable
   *    is the maximality pruning of MBEA/iMBEA for maximal bicliques (Zhang
   *    et al., BMC Bioinformatics 2014) and LCM's closure test (Uno, Kiyomi &
   *    Arimura, FIMI 2004), asked of the witness alone.
+  *  - Cover cut. Let some v' of C_V* be adjacent, at every survived t of a
+  *    frequent node, to every u of cand_U(t). A child v'' > v' and its
+  *    descendants never contain v', and each frequent one keeps a subset of
+  *    C_T' and of each cand_U, so v' extends it and Theorem 4.1 would reject
+  *    every would-be result there. The node expands its children up to the
+  *    smallest such v' and skips the rest (`stats.coverCuts`). The children
+  *    it runs keep `hiV` = the last entry of C_V*: groups that hold v' also
+  *    hold ids above it. Step 3 finds v' at one compare per counted entry:
+  *    `cntFull` counts, per v', the t at which its count reaches
+  *    |cand_U(t)|.
+  *    This is MAFIA's parent-equivalence pruning (Burdick, Calimlim &
+  *    Gehrke, ICDE 2001) and iMBEA's move into R of a candidate adjacent to
+  *    all of L' (Zhang et al., BMC Bioinformatics 2014).
   */
 final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Serializable {
   val stats = new EnumStats
@@ -108,6 +124,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   private val cntU = new Array[Int](g.uSlotT.length)
   private val cntVT = new Array[Int](vSlotT.length)
   private val cntT = new Array[Int](g.nV)
+  private val cntFull = new Array[Int](g.nV) // survived t at which v' is adjacent to all of cand_U(t)
   private val inVS = new Array[Boolean](g.nV)
   private val visitV = new Array[Long](vSlotT.length) // last timestamp pass that touched the slot
   private var pass = 0L // a Long count cannot wrap in any run, so visitV is never reset
@@ -125,6 +142,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
   private var stack: Array[Int] = Array.range(0, g.nT)
   private val results = mutable.ArrayBuffer.empty[Array[Int]] // ascending internal ids
   private var witness = -1 // the v' that last extended a would-be result of this seed, or −1
+  private var cover = -1 // set by validCandidates: the smallest v' of C_V* that covers the node, or −1
 
   /** The first of v's slots in [k, kEnd) whose t is not below `t`. */
   private def seek(k: Int, kEnd: Int, t: Int): Int = {
@@ -199,10 +217,19 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
         val nCv = if (later) validCandidates(hiV, nCt, cvOff) else 0
         if (nCv > 0) {
           if (vsSize2 + nCv >= p.tauV) {
+            val cov = cover // read before a child resets it
             java.util.Arrays.sort(st, cvOff, cvOff + nCv) // ascending processing order
             val last = st(cvOff + nCv - 1)
+            // Children above the cover are skipped; the rest keep hiV = last.
             var si = 0
-            while (si < nCv) { branch(stack(cvOff + si), vsSize2, base, nCt, cvOff + nCv, last); si += 1 }
+            var done = false
+            while (!done) {
+              val c = stack(cvOff + si)
+              branch(c, vsSize2, base, nCt, cvOff + nCv, last)
+              si += 1
+              done = si == nCv || c == cov
+            }
+            stats.coverCuts += nCv - si
           }
         } else if (vsSize2 >= p.tauV && notRepeat(v, vsSize2, base, nCt))
           results += java.util.Arrays.copyOf(vs, vsSize2)
@@ -228,9 +255,11 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
 
   /** Steps 3–4 of a frequent node over its nCt stored cand_U lists, then its
     * valid candidate set: counts, in each ascending Γ(u, t), the v' in
-    * (v, hiV] (slots in (k, kHi), with k v's slot at t) and walks past the
-    * entries at or above kHi. Writes C_V* at stack[cvOff, …) unsorted and
-    * returns its size.
+    * (v, hiV] (slots in (k, kHi), with k v's slot at t), starting below the
+    * first entry at or above kHi, which a binary search finds when the last
+    * entry is not below kHi. Writes C_V* at stack[cvOff, …) unsorted and
+    * returns its size; sets `cover` to the smallest v' of C_V* adjacent to
+    * all of cand_U(t) at every survived t, or −1.
     */
   private def validCandidates(hiV: Int, nCt: Int, cvOff: Int): Int = {
     val kHi = vSlotOff(hiV + 1) // slots of the v' ≤ hiV lie below, at every t
@@ -240,13 +269,23 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     var i = 0
     while (i < nCt) {
       val k = candK(i)
-      val cEnd = ci + candN(i)
+      val n = candN(i)
+      val cEnd = ci + n
       pass += 1
       while (ci < cEnd) {
         val lo = gUOff(candU(ci))
-        val hi = gUOff(candU(ci) + 1)
-        var j = hi - 1
-        while (j >= lo && gUNbr(j) >= kHi) j -= 1
+        var top = gUOff(candU(ci) + 1) // first entry at or above kHi
+        if (top > lo && gUNbr(top - 1) >= kHi) {
+          var a = lo
+          top -= 1
+          touch3 += 1
+          while (a < top) {
+            val m = (a + top) >>> 1
+            if (gUNbr(m) >= kHi) top = m else a = m + 1
+            touch3 += 1
+          }
+        }
+        var j = top - 1
         while (j >= lo && gUNbr(j) > k) {
           val s2 = gUNbr(j)
           val c =
@@ -257,9 +296,10 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
             if (cntT(v2) == 0) { candV(nCandV) = v2; nCandV += 1 }
             cntT(v2) += 1
           }
+          if (c == n) cntFull(vOfSlot(s2)) += 1 // n ≥ τ_U, so v2 is in candV
           j -= 1
         }
-        touch3 += hi - 1 - j
+        touch3 += top - 1 - j
         ci += 1
       }
       i += 1
@@ -267,13 +307,20 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     stats.step3Touches += touch3
     val st = stack
     var nCv = 0
+    var cov = -1
     var c = 0
     while (c < nCandV) {
       val v2 = candV(c)
-      if (cntT(v2) >= p.lambda) { st(cvOff + nCv) = v2; nCv += 1 }
+      if (cntT(v2) >= p.lambda) {
+        st(cvOff + nCv) = v2
+        nCv += 1
+        if (cntFull(v2) == nCt && (cov < 0 || v2 < cov)) cov = v2
+      }
       cntT(v2) = 0
+      cntFull(v2) = 0
       c += 1
     }
+    cover = cov
     nCv
   }
 
@@ -285,7 +332,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     * one mostly share their extender. Otherwise Steps 3–4 run over the
     * prefix v' < v (slots below v's) of each Γ(u, t), u in the stored
     * cand_U(t), stopping at the first v' to reach λ, which becomes the
-    * witness; a v' in V_S is skipped when its count reaches τ_U, the only
+    * witness, or once the largest count plus the timestamps left falls
+    * below λ; a v' in V_S is skipped when its count reaches τ_U, the only
     * point where it could matter. `candV` is free here, so it lists the v'
     * whose `cntT` this pass raised; it zeroes them before returning.
     */
@@ -299,9 +347,10 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     var touched = 0
     var touch3 = 0L
     var extended = false
+    var best = 0 // the largest cntT this pass raised: no v' gains more than 1 per t
     var ci = 0
     var i = 0
-    while (i < nCt && !extended) {
+    while (i < nCt && !extended && best + nCt - i >= p.lambda) {
       val k = candK(i)
       val cEnd = ci + candN(i)
       pass += 1
@@ -318,8 +367,10 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
             val v2 = vOfSlot(s2)
             if (!inVS(v2)) {
               if (cntT(v2) == 0) { candV(touched) = v2; touched += 1 }
-              cntT(v2) += 1
-              if (cntT(v2) >= p.lambda) { extended = true; witness = v2 }
+              val n = cntT(v2) + 1
+              cntT(v2) = n
+              if (n > best) best = n
+              if (n >= p.lambda) { extended = true; witness = v2 }
             }
           }
           j += 1

@@ -52,7 +52,7 @@ class VFreeSpec extends AnyFunSuite {
   }
 
   private def counters(s: EnumStats) =
-    (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth, s.maxChecks, s.witnessHits, s.dominatedCuts)
+    (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth, s.maxChecks, s.witnessHits, s.dominatedCuts, s.coverCuts)
 
   test("results do not depend on seed processing order") {
     val g = TestGraphs.random(7, 7, 4, 0.5, 44)
@@ -84,16 +84,15 @@ class VFreeSpec extends AnyFunSuite {
   private def completeBiclique(n: Int) =
     TestGraphs.of((for (u <- 0 until 3; v <- 0 until n; t <- 0 until 3) yield (u, v, t)): _*)
 
-  // Every subset of V is frequent, so without the dominance cut the search
-  // tree is the full subset lattice, 2^n − 1 nodes. Every v' covers every
-  // cand_U, so once a would-be result sets the witness w, each later node of
-  // the seed with w < v and w ∉ V_S' is cut. The first branch still goes
-  // all the way down, so the depth stays n.
-  for ((n, nodes) <- Seq(4 -> 15L, 10 -> 259L, 16 -> 1151L, 40 -> 19839L))
-    test(s"complete biclique K(3, $n) at 3 timestamps, (3, 2, 3): $nodes nodes, depth $n") {
+  // Every subset of V is frequent, so without the cuts the search tree is
+  // the full subset lattice, 2^n − 1 nodes. At every node the next id
+  // covers cand_U, so each node expands only its first child: seed s is one
+  // chain of n − s nodes, n(n + 1)/2 in all, and seed 0's chain is n deep.
+  for (n <- Seq(4, 10, 16, 40))
+    test(s"complete biclique K(3, $n) at 3 timestamps, (3, 2, 3): ${n * (n + 1) / 2} nodes, depth $n") {
       val engine = new VFree(completeBiclique(n), Params(3, 2, 3), Deadline.unlimited)
       assert(engine.run() == Set((0 until n).map(_.toLong).toSet))
-      assert(engine.stats.nodes == nodes)
+      assert(engine.stats.nodes == n * (n + 1) / 2)
       assert(engine.stats.maxDepth == n)
     }
 
@@ -102,7 +101,7 @@ class VFreeSpec extends AnyFunSuite {
     val g = GFCore.degreeOrdered(TestGraphs.random(30, 30, 8, 0.5, 4242), p)
     val engine = new VFree(g, p, Deadline.unlimited)
     assert(engine.run().size == 27007)
-    assert(counters(engine.stats) == (238347L, 16293185L, 14469491L, 11, 127174L, 28561L, 23768L))
+    assert(counters(engine.stats) == (232591L, 16092760L, 14675074L, 11, 124659L, 28269L, 21024L, 5147L))
   }
 
   test("property: run on k ∈ {1, 2, 3, 8} workers ≡ brute force, with the k = 1 counters") {
@@ -203,11 +202,15 @@ class VFreeSpec extends AnyFunSuite {
   }
 
   test("dominance cut: fires above a would-be result, and the subtree it skips emits nothing") {
-    // K(3, 5): seed 0 sets the witness to 1 at {0, 2, 3, 4}; {0, 3} is then
-    // dominated, and its child {0, 3, 4} is never expanded. The uncut tree
-    // has 2^5 − 1 = 31 nodes.
-    val s = cutStats(completeBiclique(5), Params(3, 2, 3), Set((0 to 4).map(_.toLong).toSet))
-    assert((s.nodes, s.dominatedCuts) == (29L, 8L))
+    // U = {u0..u3} at t0, t1: v0 has all four, v1, v3, v4 have u0..u2 and
+    // v2 has u0, u1. No later id covers {0}'s cand_U, so every child of {0}
+    // runs. In seed 0 {0, 1, 3, 4} sets the witness to 2 and {0, 2, 3, 4}
+    // to 1; v1 then holds {0, 3}'s cand_U = {u0, u1, u2} at both t, so {0, 3}
+    // is cut and its child {0, 3, 4} is never expanded; {0, 4} is cut too.
+    val nbrs = Seq(0 -> (0 to 3), 1 -> (0 to 2), 2 -> (0 to 1), 3 -> (0 to 2), 4 -> (0 to 2))
+    val edges = for ((v, us) <- nbrs; u <- us; t <- 0 to 1) yield (u, v, t)
+    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set((0 to 4).map(_.toLong).toSet))
+    assert((s.nodes, s.dominatedCuts) == (23L, 3L))
   }
 
   test("dominance cut: not by a witness that misses one u of cand_U at one survived timestamp") {
@@ -236,6 +239,48 @@ class VFreeSpec extends AnyFunSuite {
     val groups = Seq(Seq(0, 1, 3, 4) -> Seq(0, 1), Seq(0, 2, 3) -> Seq(2, 3))
     val edges = for ((vs, ts) <- groups; v <- vs; t <- ts; u <- 0 to 1) yield (u, v, t)
     cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L, 3L, 4L), Set(0L, 2L, 3L)))
+  }
+
+  // The cover cut: a later candidate v' that holds cand_U(t) at every
+  // survived t of a node joins every group below it, so the node's children
+  // above v' are skipped. The graphs are fed unreordered and checked
+  // against brute force.
+  test("cover cut: fires on K(3, 5), and the children it skips emit nothing") {
+    // At each node the next id covers cand_U = {u0, u1, u2}: the node whose
+    // largest id is v skips its 3 − v children above v + 1.
+    val s = cutStats(completeBiclique(5), Params(3, 2, 3), Set((0 to 4).map(_.toLong).toSet))
+    assert((s.nodes, s.coverCuts, s.dominatedCuts) == (15L, 10L, 0L))
+  }
+
+  test("cover cut: not by a candidate that misses one u of cand_U at one survived timestamp") {
+    // τ_U = 2. {0}'s cand_U is {u0, u1, u2} at t0 and t1. v1 has all three
+    // at t0 but only u0, u1 at t1, so it does not cover {0}, and {0, 2}
+    // (cand_U {u1, u2}; v1 joins it at t0 alone) is an MFG.
+    val nbrs = Seq((0, 0) -> (0 to 2), (0, 1) -> (0 to 2), (1, 0) -> (0 to 2), (1, 1) -> (0 to 1), (2, 0) -> (1 to 2),
+      (2, 1) -> (1 to 2))
+    val edges = for (((v, t), us) <- nbrs; u <- us) yield (u, v, t)
+    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L), Set(0L, 2L)))
+    assert(s.coverCuts == 0)
+  }
+
+  test("cover cut: not by a candidate with no slot at one survived timestamp") {
+    // λ = 2 of {0}'s survived t0, t1, t2 (cand_U {u0, u1} at each). v1 holds
+    // {u0, u1} at t0 and t1 and has no slot at t2, so it does not cover {0},
+    // and {0, 2} (t0, t2; v1 joins it at t0 alone) is an MFG.
+    val at = Seq(0 -> Seq(0, 1, 2), 1 -> Seq(0, 1), 2 -> Seq(0, 2))
+    val edges = for ((v, ts) <- at; t <- ts; u <- 0 to 1) yield (u, v, t)
+    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L), Set(0L, 2L)))
+    assert(s.coverCuts == 0)
+  }
+
+  test("cover cut: the children at or below the cover still emit, with ids above it") {
+    // v0 and v2 have u0, u1, u2 at t0 and t1; v1 and v3 have u0, u1. v2
+    // covers {0}, so its child 3 is skipped, but the child 1 below the cover
+    // runs with C_V* up to 3: the one MFG {0, 1, 2, 3} holds 1, 2 and 3.
+    val nbrs = Seq(0 -> (0 to 2), 1 -> (0 to 1), 2 -> (0 to 2), 3 -> (0 to 1))
+    val edges = for ((v, us) <- nbrs; u <- us; t <- 0 to 1) yield (u, v, t)
+    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set((0 to 3).map(_.toLong).toSet))
+    assert(s.coverCuts > 0)
   }
 
   test("stats.nodes counts one node per branch expansion") {
