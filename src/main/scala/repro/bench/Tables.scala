@@ -82,17 +82,19 @@ object Tables {
     }
   }
 
+  /** Table 1 with its four CM-time columns in milliseconds, one decimal. */
   def renderTable1(rows: Seq[Table1Row]): String = {
-    val header = Seq("(tauU,tauV,lambda)", "FilterV-CM (%)", "FilterV-CM (s)", "VFree-CM (s)",
-                     "paper CM%", "paper FilterV-CM", "paper VFree-CM", "#MFG",
+    val header = Seq("(tauU,tauV,lambda)", "FilterV-CM (%)", "FilterV-CM (ms)", "VFree-CM (ms)",
+                     "paper CM%", "paper FilterV-CM (ms)", "paper VFree-CM (ms)", "#MFG",
                      "FV nodes", "FV checks", "VF nodes")
+    def ms(sec: Double) = f"${sec * 1000}%.1f"
     render("Table 1 — FilterV vs VFree: valid-candidate + maximality cost on D14 stand-in (median of 3)",
       header,
       rows.map { r =>
         val (pc, pf, pv) = table1Paper(r.params)
         Seq(s"(${r.params.tauU},${r.params.tauV},${r.params.lambda})",
-            fmt(r.filterVCmShare) + "%", fmt(r.filterVCmSec), fmt(r.vfreeCmSec),
-            fmt(pc) + "%", fmt(pf), fmt(pv), r.mfgs.toString,
+            fmt(r.filterVCmShare) + "%", ms(r.filterVCmSec), ms(r.vfreeCmSec),
+            fmt(pc) + "%", ms(pf), ms(pv), r.mfgs.toString,
             r.filterVNodes.toString, r.filterVChecks.toString, r.vfreeNodes.toString)
       })
   }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{SortedOps, TemporalBipartiteGraph}
+import repro.graph.{SortedOps, StaticIndex, TemporalBipartiteGraph}
 
 /** Frequency-verification machinery: the naive per-timestamp intersection
   * check (FilterV's `useArrayVerify = false` path: FilterV-VM, FilterV- and
@@ -75,15 +75,16 @@ object Frequency {
       Array.range(0, g.nT).filter(t => commonMNeighbors(g, vs, t).length >= tauU)
   }
 
-  /** Array-based frequency verification (Algorithm 3).
+  /** Array-based frequency verification (Algorithm 3), over the static
+    * views of a graph's [[StaticIndex]]: N(u) and, per static edge, T(u, v).
     *
     * Holds one Reborn Array and one Update Array of length |T| which are
     * reused across calls, exactly as the paper's structures. Not
     * thread-safe — allocate one instance per search thread/partition.
     */
-  final class CheckFre(g: TemporalBipartiteGraph) extends Serializable {
-    private val ra = new Array[Int](g.nT) // Reborn Array: u's m-neighbors in V_S per t
-    private val ua = new Array[Int](g.nT) // Update Array: common m-neighbors of V_S per t
+  final class CheckFre(index: StaticIndex) {
+    private val ra = new Array[Int](index.nT) // Reborn Array: u's m-neighbors in V_S per t
+    private val ua = new Array[Int](index.nT) // Update Array: common m-neighbors of V_S per t
 
     /** Algorithm 3: returns true iff V_S (given via membership flags and
       * size) has ≥ λ support timestamps. `us` holds the common s-neighbors
@@ -96,21 +97,21 @@ object Frequency {
       while (i < usLen) {
         val u = us(i)
         java.util.Arrays.fill(ra, 0)
-        var j = g.uOff(u)
-        while (j < g.uOff(u + 1)) {
-          if (vsMember(g.uNbr(j))) {
-            var k = g.tsOff(j)
-            while (k < g.tsOff(j + 1)) { ra(g.ts(k)) += 1; k += 1 }
+        var j = index.uOff(u)
+        while (j < index.uOff(u + 1)) {
+          if (vsMember(index.uNbr(j))) {
+            var k = index.tsOff(j)
+            while (k < index.tsOff(j + 1)) { ra(index.ts(k)) += 1; k += 1 }
           }
           j += 1
         }
         var t = 0
-        while (t < g.nT) { if (ra(t) == vsSize) ua(t) += 1; t += 1 }
+        while (t < index.nT) { if (ra(t) == vsSize) ua(t) += 1; t += 1 }
         i += 1
       }
       var cnt = 0
       var t = 0
-      while (t < g.nT) {
+      while (t < index.nT) {
         if (ua(t) >= tauU) { cnt += 1; if (cnt >= lambda) return true }
         t += 1
       }

@@ -10,15 +10,13 @@ import org.apache.spark.sql.DataFrame
   * from labels ([[TemporalBipartiteGraph.fromEdges]], `fromDF`) numbers
   * each side in ascending label order.
   *
-  * Every adjacency list the paper's algorithms read is a slice
-  * `nbr(off(k) until off(k + 1))` of one flat CSR view, ascending:
-  *
-  *  - static `u → V` (`uOff`/`uNbr`, key u) with, per static edge `i`, its
-  *    timestamps T(u, v) (`tsOff`/`ts`, key i): `N(u)` and CheckFRE
-  *    (Algorithm 3);
-  *  - static `v → U` (`vOff`/`vNbr`, key v): `N(v)` in FilterV (BK-ALG+ too);
-  *  - per-snapshot Γ(u, t) and Γ(v, t), keyed by slot: the m-neighbour scans
-  *    of GFCore (Algorithm 2) and VFree (Algorithm 4).
+  * Every adjacency list the paper's algorithms read from the graph is a
+  * slice `nbr(off(k) until off(k + 1))` of one flat CSR view, ascending:
+  * the per-snapshot Γ(u, t) and Γ(v, t), keyed by slot, the doubly
+  * compressed rows of Buluç & Gilbert (IPDPS 2008). GFCore (Algorithm 2)
+  * and VFree (Algorithm 4) read them. The static projection (N(u), N(v) and
+  * T(u, v)) is not stored here: FilterV and CheckFRE read it from a
+  * [[StaticIndex]], built from the slots once per run.
   *
   * A slot is one non-empty (w, t) pair. Each side numbers its slots in
   * (w, t) order, so one vertex's slots are contiguous, `uSlotOff(u) until
@@ -29,21 +27,22 @@ import org.apache.spark.sql.DataFrame
   * lists of one t intersect by id. `vOfSlot` maps a V-slot to its v; a
   * U-slot's u is found by [[uOfSlot]], a binary search.
   *
-  * Degrees are offset differences. Size in `Int`s: 2·(nU + nV) +
-  * 3·|E_static| + 3·|E| + 2·S_U + 3·S_V + O(1), plus the labels, where
-  * S_U, S_V ≤ |E| are the two slot counts.
+  * Size in `Int`s: nU + nV + 2·|E| + 2·S_U + 3·S_V + 4, plus the labels,
+  * where S_U, S_V ≤ |E| are the two slot counts (the 4 is the closing
+  * entries of the four offset arrays).
   *
   * A graph of labelled edges comes from one builder, `fromInternal`, over
   * packed `Int` id columns: one stable counting sort orders the edges by
-  * `(u, v, t)`, adjacent duplicates are dropped, and the same sort then
-  * fills each view and its offsets from that ordering. A derived graph is
-  * read straight off its parent's views, with no sort over the edges:
-  * `keepSlots`, the one renumbering builder, keeps the edges whose two slots
-  * are alive in a mask, drops ids without a kept edge and numbers V in
-  * relative order or by ascending static degree (VFree's order). GFCore's
-  * cores are `keepSlots` over the cascade's surviving slots, and
-  * `Enumerators.reorderByDegree` over every slot. `collapseStatic` reuses
-  * the static views with one slot per vertex.
+  * `(u, v, t)`, adjacent duplicates are dropped, and the kept edges sorted
+  * by t, then stably by one side's vertex, give that side's slots. A
+  * derived graph is read straight off its parent's slot views, with no sort
+  * over the edges: `keepSlots`, the one renumbering builder, keeps the edges
+  * whose two slots are alive in a mask, drops ids without a kept edge and
+  * numbers V in relative order or by ascending static degree (VFree's
+  * order). GFCore's cores are `keepSlots` over the cascade's surviving
+  * slots, and `Enumerators.reorderByDegree` over every slot.
+  * `collapseStatic` lists the static edges off the U-slots and builds them
+  * at one timestamp with `fromInternal`.
   *
   * Size bound: |E| ≤ [[TemporalBipartiteGraph.MaxEdges]] distinct temporal
   * edges, checked by the builder, so the S_U + S_V ≤ 2·|E| slots of both
@@ -56,9 +55,6 @@ final class TemporalBipartiteGraph private (
     val nU: Int,
     val nV: Int,
     val nT: Int,
-    val uOff: Array[Int], val uNbr: Array[Int],
-    val tsOff: Array[Int], val ts: Array[Int],
-    val vOff: Array[Int], val vNbr: Array[Int],
     val uSlotOff: Array[Int], val uSlotT: Array[Int], val gUOff: Array[Int], val gUNbr: Array[Int],
     val vSlotOff: Array[Int], val vSlotT: Array[Int], val gVOff: Array[Int], val gVNbr: Array[Int],
     val vOfSlot: Array[Int],
@@ -71,10 +67,7 @@ final class TemporalBipartiteGraph private (
 ) extends Serializable {
 
   /** Number of distinct temporal edges `(u, v, t)`. */
-  def temporalEdgeCount: Long = ts.length
-
-  /** Number of distinct static edges `(u, v)`. */
-  def staticEdgeCount: Long = uNbr.length
+  def temporalEdgeCount: Long = gVNbr.length
 
   /** U-slot of (u, t), or −1 if Γ(u, t) is empty: a binary search. */
   def uSlot(u: Int, t: Int): Int = java.util.Arrays.binarySearch(uSlotT, uSlotOff(u), uSlotOff(u + 1), t) max -1
@@ -88,12 +81,6 @@ final class TemporalBipartiteGraph private (
     while (lo < hi) { val m = (lo + hi + 1) >>> 1; if (uSlotOff(m) <= k) lo = m else hi = m - 1 }
     lo
   }
-
-  /** Structural degree d(v, G) for v ∈ V. */
-  def sDegV(v: Int): Int = vOff(v + 1) - vOff(v)
-
-  /** Structural degree d(u, G) for u ∈ U. */
-  def sDegU(u: Int): Int = uOff(u + 1) - uOff(u)
 
   /** Momentary degree δ(v, t) for v ∈ V. */
   def mDegV(v: Int, t: Int): Int = { val k = vSlot(v, t); if (k < 0) 0 else gVOff(k + 1) - gVOff(k) }
@@ -159,14 +146,14 @@ final class TemporalBipartiteGraph private (
     // U-slots: the kept ones in their old order, which is (new u, new t) order.
     val newUSlot = new Array[Int](nSU)
     val uSlotOff2 = new Array[Int](nU2 + 1); val uSlotT2 = new Array[Int](nSU2)
-    val gUOff2 = new Array[Int](nSU2 + 1); val uOfSlot2 = new Array[Int](nSU2)
+    val gUOff2 = new Array[Int](nSU2 + 1)
     var s = 0
     var u2 = 0
     while (u2 < nU2) {
       var k = uSlotOff(uOld(u2))
       while (k < uSlotOff(uOld(u2) + 1)) {
         if (cnt(k) > 0) {
-          newUSlot(k) = s; uSlotT2(s) = newT(uSlotT(k)); uOfSlot2(s) = u2
+          newUSlot(k) = s; uSlotT2(s) = newT(uSlotT(k))
           gUOff2(s + 1) = gUOff2(s) + cnt(k)
           s += 1
         }
@@ -178,30 +165,25 @@ final class TemporalBipartiteGraph private (
 
     // V-slots in (new v, t) order, each Γ(v, t) filtered and renumbered. The
     // same walk transposes every entry into Γ(u, t), which comes out
-    // ascending, and scatters (v, t) into u's bucket of temporal edges (u's
-    // kept edges sit at gUOff2(uSlotOff2(u)) on), which comes out in (v, t)
-    // order: the static views' order.
+    // ascending.
     val vSlotOff2 = new Array[Int](nV2 + 1); val vSlotT2 = new Array[Int](nSV2)
     val gVOff2 = new Array[Int](nSV2 + 1); val vOfSlot2 = new Array[Int](nSV2)
-    val gVNbr2, gUNbr2, bucketV, ts2 = new Array[Int](nE)
+    val gVNbr2, gUNbr2 = new Array[Int](nE)
     val gUNext = java.util.Arrays.copyOf(gUOff2, nSU2)
-    val bucketNext = Array.tabulate(nU2)(x => gUOff2(uSlotOff2(x)))
     s = 0
     var e, v2 = 0
     while (v2 < nV2) {
       var j = vSlotOff(vOld(v2))
       while (j < vSlotOff(vOld(v2) + 1)) {
         if (cnt(nSU + j) > 0) {
-          val t2 = newT(vSlotT(j))
-          vSlotT2(s) = t2; vOfSlot2(s) = v2
+          vSlotT2(s) = newT(vSlotT(j)); vOfSlot2(s) = v2
           var i = gVOff(j)
           while (i < gVOff(j + 1)) {
             val k = gVNbr(i)
             if (alive(k) > 0) {
-              val k2 = newUSlot(k); val b = bucketNext(uOfSlot2(k2))
+              val k2 = newUSlot(k)
               gVNbr2(e) = k2; e += 1
               gUNbr2(gUNext(k2)) = s; gUNext(k2) += 1
-              bucketV(b) = v2; ts2(b) = t2; bucketNext(uOfSlot2(k2)) = b + 1
             }
             i += 1
           }
@@ -214,53 +196,21 @@ final class TemporalBipartiteGraph private (
       v2 += 1
     }
 
-    // Static views: each run of one v in u's bucket is a static edge (u, v)
-    // whose timestamps are the run. v → U is filled in u order, so ascending.
-    val vOff2 = new Array[Int](nV2 + 1)
-    for (r <- 0 until nV2) vOff2(r + 1) = vOff2(r) + vDeg(vOld(r))
-    val nSe = vOff2(nV2)
-    val uOff2 = new Array[Int](nU2 + 1); val uNbr2, vNbr2 = new Array[Int](nSe); val tsOff2 = new Array[Int](nSe + 1)
-    val vNext = java.util.Arrays.copyOf(vOff2, nV2)
-    s = 0
-    u2 = 0
-    while (u2 < nU2) {
-      val lo = gUOff2(uSlotOff2(u2))
-      var b = lo
-      while (b < gUOff2(uSlotOff2(u2 + 1))) {
-        if (b == lo || bucketV(b) != bucketV(b - 1)) {
-          uNbr2(s) = bucketV(b); tsOff2(s) = b; vNbr2(vNext(bucketV(b))) = u2; vNext(bucketV(b)) += 1
-          s += 1
-        }
-        b += 1
-      }
-      uOff2(u2 + 1) = s
-      u2 += 1
-    }
-    tsOff2(nSe) = nE
     def labels(old: Array[Int], of: Array[Long]) = Array.tabulate(old.length)(r => of(old(r)))
-    new TemporalBipartiteGraph(nU2, nV2, tOld.length, uOff2, uNbr2, tsOff2, ts2, vOff2, vNbr2,
+    new TemporalBipartiteGraph(nU2, nV2, tOld.length,
       uSlotOff2, uSlotT2, gUOff2, gUNbr2, vSlotOff2, vSlotT2, gVOff2, gVNbr2, vOfSlot2,
       labels(uOld, uLabels), labels(vOld, vLabels), labels(tOld, tLabels))
   }
 
   /** Static bipartite projection: every timestamp collapsed onto t = 0, so
     * each vertex with an edge has one slot, whose Γ(w, 0) is N(w). All ids
-    * are kept, and the static views are shared with this graph.
+    * and labels are kept: the edges (u, v, 0), listed off the U-slots with
+    * duplicates, go to `fromInternal`, which drops the duplicates.
     */
   def collapseStatic: TemporalBipartiteGraph = {
-    // per vertex the number of vertices with an edge before it (its slot, if it has one),
-    // and per slot its vertex
-    def slots(off: Array[Int]): (Array[Int], Array[Int]) = {
-      val slotOff = new Array[Int](off.length)
-      for (w <- 0 until off.length - 1) slotOff(w + 1) = slotOff(w) + (if (off(w + 1) > off(w)) 1 else 0)
-      (slotOff, (0 until off.length - 1).filter(w => off(w + 1) > off(w)).toArray)
-    }
-    val (uSlotOff1, uOf) = slots(uOff); val (vSlotOff1, vOf) = slots(vOff)
-    new TemporalBipartiteGraph(nU, nV, 1, uOff, uNbr, Array.range(0, uNbr.length + 1), new Array[Int](uNbr.length),
-      vOff, vNbr,
-      uSlotOff1, new Array[Int](uOf.length), uOf.map(uOff) :+ uNbr.length, uNbr.map(vSlotOff1),
-      vSlotOff1, new Array[Int](vOf.length), vOf.map(vOff) :+ vNbr.length, vNbr.map(uSlotOff1),
-      vOf, uLabels, vLabels, Array(0L))
+    val us = new Array[Int](gUNbr.length)
+    for (u <- 0 until nU) java.util.Arrays.fill(us, gUOff(uSlotOff(u)), gUOff(uSlotOff(u + 1)), u)
+    TemporalBipartiteGraph.fromInternal(us, gUNbr.map(vOfSlot), new Array[Int](us.length), uLabels, vLabels, Array(0L))
   }
 }
 
@@ -335,32 +285,18 @@ object TemporalBipartiteGraph {
         s"edge out of range: (${us(e)},${vs(e)},${ts(e)})")
 
     // (u, v, t) order, least significant key first. Keep the first edge of
-    // each run of equal triples (the temporal edges kU/kV/kT, with their
-    // static edge sOf) and the first of each run of equal (u, v) (the static
-    // edges sU/sV).
+    // each run of equal triples: the temporal edges kU/kV/kT.
     val ord = countingSort(countingSort(countingSort(Array.range(0, us.length), nT, ts)._1, nV, vs)._1, nU, us)._1
-    val kU, kV, kT, sOf, sU, sV = new Array[Int](ord.length)
-    var nTe, nSe, i = 0; var p = -1
+    val kU, kV, kT = new Array[Int](ord.length)
+    var nTe, i = 0; var p = -1
     while (i < ord.length) {
       val e = ord(i)
-      val newStatic = p < 0 || us(p) != us(e) || vs(p) != vs(e)
-      if (newStatic) { sU(nSe) = us(e); sV(nSe) = vs(e); nSe += 1 }
-      if (newStatic || ts(p) != ts(e)) { kU(nTe) = us(e); kV(nTe) = vs(e); kT(nTe) = ts(e); sOf(nTe) = nSe - 1; nTe += 1 }
+      if (p < 0 || us(p) != us(e) || vs(p) != vs(e) || ts(p) != ts(e)) {
+        kU(nTe) = us(e); kV(nTe) = vs(e); kT(nTe) = ts(e); nTe += 1
+      }
       p = e; i += 1
     }
     require(nTe <= MaxEdges, s"graph too large: $nTe distinct temporal edges, more than MaxEdges = $MaxEdges")
-
-    // Each view sorts the first m kept edges, already in (u, v, t) order, by
-    // its key; the sort is stable, so every list comes out ascending.
-    def view(m: Int, n: Int, key: Array[Int], value: Array[Int]): (Array[Int], Array[Int]) = {
-      val (nbr, off) = countingSort(Array.range(0, m), n, key) // kept-edge indices, then their values
-      var i = 0
-      while (i < m) { nbr(i) = value(nbr(i)); i += 1 }
-      (off, nbr)
-    }
-    val (uOff, uNbr) = view(nSe, nU, sU, sV)
-    val (tsOff, tsOf) = view(nTe, nSe, sOf, kT)
-    val (vOff, vNbr) = view(nSe, nV, sV, sU)
 
     // Slots: the kept edges in (t, u, v) order, then stably by one side's
     // vertex w, give (w, t, other) order, where each run of one (w, t) is a
@@ -392,7 +328,7 @@ object TemporalBipartiteGraph {
     val gUNbr, gVNbr = new Array[Int](nTe)
     for (r <- 0 until nTe) { gUNbr(r) = vSlotOf(ordU(r)); gVNbr(r) = uSlotOf(ordV(r)) }
     val vOfSlot = Array.tabulate(vSlotT.length)(k => kV(ordV(gVOff(k))))
-    new TemporalBipartiteGraph(nU, nV, nT, uOff, uNbr, tsOff, tsOf, vOff, vNbr,
+    new TemporalBipartiteGraph(nU, nV, nT,
       uSlotOff, uSlotT, gUOff, gUNbr, vSlotOff, vSlotT, gVOff, gVNbr, vOfSlot, uLabels, vLabels, tLabels)
   }
 }

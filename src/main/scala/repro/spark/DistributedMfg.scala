@@ -9,8 +9,9 @@ import repro.graph.TemporalBipartiteGraph
   *
   *  1. On the driver: `fromDF`, then [[GFCore.degreeOrdered]] (one build),
   *     as in `Enumerators.vFree`. The driver holds the unfiltered graph once
-  *     (about 0.85 MB for the D4 stand-in) while GFCore runs.
-  *  2. Broadcast the filtered graph to the executors.
+  *     (about 0.44 MB for the D4 stand-in) while GFCore runs.
+  *  2. Broadcast the filtered graph, which holds slot views only, to the
+  *     executors.
   *  3. One seed per V vertex over a Dataset, each run with [[VFree.runSeed]]:
   *     root branches are independent and their results are globally maximal
   *     without cross-partition reconciliation (Theorem 4.1's order argument).

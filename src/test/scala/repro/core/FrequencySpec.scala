@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
-import repro.graph.{GraphFields, SortedOps}
+import repro.graph.{GraphFields, SortedOps, StaticIndex}
 
 class FrequencySpec extends AnyFunSuite {
 
@@ -32,7 +32,7 @@ class FrequencySpec extends AnyFunSuite {
 
   test("CheckFre matches the paper's Example 3.1 structure") {
     val g = TestGraphs.tiny
-    val cf = new Frequency.CheckFre(g)
+    val cf = new Frequency.CheckFre(StaticIndex(g))
     val member = Array(true, true, false)
     val vAdj = GraphFields(g).vAdj.map(_.toArray)
     val us = SortedOps.intersect(vAdj(0), vAdj(1), 0, vAdj(1).length)
@@ -47,7 +47,7 @@ class FrequencySpec extends AnyFunSuite {
     test(s"CheckFre ≡ NaiveFreq on random graphs (seed $seed, tauU=$tauU)") {
       val g = TestGraphs.random(6, 7, 5, 0.35, seed)
       val vAdj = GraphFields(g).vAdj.map(_.toArray)
-      val cf = new Frequency.CheckFre(g)
+      val cf = new Frequency.CheckFre(StaticIndex(g))
       val rng = new scala.util.Random(seed * 31 + 1)
       for (_ <- 0 until 8) {
         val size = 1 + rng.nextInt(3)

@@ -13,8 +13,10 @@ import repro.graph.GraphGen.{check, edges => genEdges}
   * derived graph (the slot-mask builder `keepSlots` under random masks, as
   * GFCore's core, its degree-ordered form and `reorderByDegree`; and
   * `collapseStatic`), on generated small graphs with duplicate edges,
-  * negative labels and empty edge sets; Java serialisation of a built and a
-  * derived graph; plus the edge cases an empty graph, an all-dead mask, a filter
+  * negative labels and empty edge sets, with their static projection read
+  * through `StaticIndex`; the `Int`s a graph and its index hold against
+  * their documented sizes; Java serialisation of a built and a derived
+  * graph; plus the edge cases an empty graph, an all-dead mask, a filter
   * that removes everything and `|T| = 70` (two `TBits` words).
   */
 class GraphBuilderPropertiesSpec extends AnyFunSuite {
@@ -54,8 +56,10 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
     */
   private def byDegreeReference(g: TemporalBipartiteGraph, byDegree: Boolean = true): TemporalBipartiteGraph = {
     val es = g.internalEdges
-    val us = (0 until g.nU).filter(g.sDegU(_) > 0)
-    val vs = (0 until g.nV).filter(g.sDegV(_) > 0).sortBy(v => if (byDegree) (g.sDegV(v), v) else (0, v))
+    val s = StaticIndex(g)
+    def sDegU(u: Int) = s.uOff(u + 1) - s.uOff(u); def sDegV(v: Int) = s.vOff(v + 1) - s.vOff(v)
+    val us = (0 until g.nU).filter(sDegU(_) > 0)
+    val vs = (0 until g.nV).filter(sDegV(_) > 0).sortBy(v => if (byDegree) (sDegV(v), v) else (0, v))
     val ts = es.map(_._3).distinct.sorted.toSeq
     val (uId, vId, tId) = (us.zipWithIndex.toMap, vs.zipWithIndex.toMap, ts.zipWithIndex.toMap)
     TemporalBipartiteGraph.fromInternal(es.map(e => uId(e._1)), es.map(e => vId(e._2)), es.map(e => tId(e._3)),
@@ -113,7 +117,7 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
   test("keepSlots with an all-dead mask gives a 0×0×0 graph") {
     check(forAll(GraphGen.graphs, Gen.oneOf(false, true)) { (g, byDegree) =>
       val h = g.keepSlots(new Array[Int](g.uSlotT.length + g.vSlotT.length), byDegree)
-      (h.nU == 0 && h.nV == 0 && h.nT == 0 && h.temporalEdgeCount == 0 && h.staticEdgeCount == 0) :|
+      (h.nU == 0 && h.nV == 0 && h.nT == 0 && h.temporalEdgeCount == 0 && StaticIndex(h).uNbr.isEmpty) :|
         s"${h.nU}×${h.nV}×${h.nT}, ${h.temporalEdgeCount} edges"
     })
   }
@@ -154,6 +158,29 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
         g.uLabels, g.vLabels, Array(0L)))
       (got == want) :| s"got $got\nwant $want"
     })
+  }
+
+  /** The summed lengths of every `Int` array field of `x`, found by
+    * reflection, so that an array added to the class is counted too.
+    */
+  private def intsHeld(x: AnyRef): Long =
+    x.getClass.getDeclaredFields.filter(_.getType == classOf[Array[Int]]).map { f =>
+      f.setAccessible(true); f.get(x).asInstanceOf[Array[Int]].length.toLong
+    }.sum
+
+  test("a graph holds nU + nV + 2·|E| + 2·S_U + 3·S_V + 4 Ints, its static index nU + nV + 3·|E_static| + |E| + 3") {
+    def sizes(h: TemporalBipartiteGraph): Prop = {
+      val (e, s) = (h.temporalEdgeCount, StaticIndex(h))
+      val graph = h.nU + h.nV + 2 * e + 2L * h.uSlotT.length + 3L * h.vSlotT.length + 4
+      val index = h.nU + h.nV + 3L * s.uNbr.length + e + 3
+      ((intsHeld(h) == graph) :| s"graph holds ${intsHeld(h)} Ints, the formula gives $graph") &&
+        ((intsHeld(s) == index) :| s"index holds ${intsHeld(s)} Ints, the formula gives $index")
+    }
+    // a built graph, a keepSlots graph derived from it and its static projection
+    check(forAll(masked, Gen.oneOf(false, true)) { case ((g, alive), byDegree) =>
+      Prop.all(Seq(g, g.keepSlots(alive, byDegree), g.collapseStatic).map(sizes): _*)
+    })
+    check(sizes(TemporalBipartiteGraph.fromEdges(Nil)), tests = 1)
   }
 
   /** Java serialisation (what a Spark broadcast does) there and back. */

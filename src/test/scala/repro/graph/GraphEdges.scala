@@ -2,15 +2,17 @@ package repro.graph
 
 /** A graph's temporal edges listed as triples, for tests and oracles:
   * `import GraphEdges._` gives every [[TemporalBipartiteGraph]]
-  * `internalEdges` and `labeledEdges`, read off its static views.
+  * `internalEdges` and `labeledEdges`, read off its [[StaticIndex]].
   */
 object GraphEdges {
   implicit class EdgeListing(private val g: TemporalBipartiteGraph) extends AnyVal {
 
     /** All temporal edges as internal-id triples (u, v, t), in that order. */
-    def internalEdges: Array[(Int, Int, Int)] =
-      (for (u <- 0 until g.nU; i <- g.uOff(u) until g.uOff(u + 1); e <- g.tsOff(i) until g.tsOff(i + 1))
-        yield (u, g.uNbr(i), g.ts(e))).toArray
+    def internalEdges: Array[(Int, Int, Int)] = {
+      val s = StaticIndex(g)
+      (for (u <- 0 until g.nU; i <- s.uOff(u) until s.uOff(u + 1); e <- s.tsOff(i) until s.tsOff(i + 1))
+        yield (u, s.uNbr(i), s.ts(e))).toArray
+    }
 
     /** All temporal edges in original-label space. */
     def labeledEdges: Array[(Long, Long, Long)] =

@@ -3,6 +3,8 @@ package repro.graph
 /** Every view of a [[TemporalBipartiteGraph]] re-nested as plain immutable
   * collections, so two graphs (or a graph and [[GraphReference.of]]) compare
   * field by field with `==`, and tests can read a list as `gammaV(t)(v)`.
+  * The static views `uAdj`, `uAdjTs` and `vAdj` are read from the graph's
+  * [[StaticIndex]], so every comparison checks the index too.
   */
 final case class GraphFields(
     nU: Int, nV: Int, nT: Int,
@@ -15,10 +17,11 @@ object GraphFields {
     def list(off: Array[Int], nbr: Array[Int], k: Int): Seq[Int] = nbr.slice(off(k), off(k + 1)).toSeq
     // Γ(w, t) through w's slot at t (−1: empty), mapped from slot ids back to vertex ids
     def slotList(off: Array[Int], nbr: Array[Int], k: Int): Seq[Int] = if (k < 0) Seq.empty else list(off, nbr, k)
+    val s = StaticIndex(g)
     GraphFields(g.nU, g.nV, g.nT, g.uLabels.toSeq, g.vLabels.toSeq, g.tLabels.toSeq,
-      Vector.tabulate(g.nU)(list(g.uOff, g.uNbr, _)),
-      Vector.tabulate(g.nU)(u => (g.uOff(u) until g.uOff(u + 1)).map(list(g.tsOff, g.ts, _))),
-      Vector.tabulate(g.nV)(list(g.vOff, g.vNbr, _)),
+      Vector.tabulate(g.nU)(list(s.uOff, s.uNbr, _)),
+      Vector.tabulate(g.nU)(u => (s.uOff(u) until s.uOff(u + 1)).map(list(s.tsOff, s.ts, _))),
+      Vector.tabulate(g.nV)(list(s.vOff, s.vNbr, _)),
       Vector.tabulate(g.nT, g.nU)((t, u) => slotList(g.gUOff, g.gUNbr, g.uSlot(u, t)).map(g.vOfSlot(_))),
       Vector.tabulate(g.nT, g.nV)((t, v) => slotList(g.gVOff, g.gVNbr, g.vSlot(v, t)).map(g.uOfSlot)))
   }

@@ -27,13 +27,15 @@ class TemporalBipartiteGraphSpec extends AnyFunSuite {
 
   test("static edge count collapses timestamps") {
     // static edges: (1,10), (1,11), (2,10), (2,11)
-    assert(g.staticEdgeCount == 4)
+    assert(StaticIndex(g).uNbr.length == 4)
   }
 
   test("structural degrees (Definition 2.1)") {
-    assert(g.sDegU(0) == 2) // u=1 connects v=10,11
-    assert(g.sDegU(1) == 2) // u=2 connects v=10 (t0) and v=11 (t1)
-    assert(g.sDegV(0) == 2 && g.sDegV(1) == 2)
+    // d(w, G): offset differences in the static index
+    val s = StaticIndex(g)
+    assert(s.uOff(1) - s.uOff(0) == 2) // u=1 connects v=10,11
+    assert(s.uOff(2) - s.uOff(1) == 2) // u=2 connects v=10 (t0) and v=11 (t1)
+    assert(s.vOff.toSeq == Seq(0, 2, 4)) // v=10 and v=11 have two each
   }
 
   test("momentary degrees and neighbors (Definition 2.2)") {
@@ -71,7 +73,8 @@ class TemporalBipartiteGraphSpec extends AnyFunSuite {
   test("fromInternal allows isolated vertices and empty timestamps") {
     val h = TemporalBipartiteGraph.fromInternal(Array(0), Array(0), Array(0),
       Array(0L, 1L, 2L), Array(0L, 1L, 2L), Array(0L, 1L, 2L))
-    assert(h.sDegU(2) == 0 && h.sDegV(2) == 0 && h.mDegV(0, 2) == 0)
+    val s = StaticIndex(h)
+    assert(s.uOff(3) == s.uOff(2) && s.vOff(3) == s.vOff(2) && h.mDegV(0, 2) == 0)
     assert(h.temporalEdgeCount == 1)
   }
 

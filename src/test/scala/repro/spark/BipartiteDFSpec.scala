@@ -2,13 +2,14 @@ package repro.spark
 
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.core.Frequency
-import repro.graph.TemporalBipartiteGraph
+import repro.graph.{StaticIndex, TemporalBipartiteGraph}
 import repro.graph.GraphEdges._
 
 /** DuckDB checks of the graph and frequency code the enumerators run: the
-  * static view, the m-degrees, Lemma 3.2's T(v) bitsets, the support
-  * timestamps of Def. 2.4 and the Table 2 counts, each read from a graph
-  * built by `fromDF` and compared with SQL over the same edge table.
+  * static view (the graph's `StaticIndex`), the m-degrees, Lemma 3.2's T(v)
+  * bitsets, the support timestamps of Def. 2.4 and the Table 2 counts, each
+  * read from a graph built by `fromDF` and compared with SQL over the same
+  * edge table.
   *
   * The class keeps the name of the DataFrame layer these cases once
   * checked, and every case keeps its name, so that test ids stay stable
@@ -28,8 +29,9 @@ class BipartiteDFSpec extends SparkSpec {
     test(s"staticEdges vs DuckDB (seed $seed)") {
       val e = edges(seed)
       val g = TemporalBipartiteGraph.fromDF(e)
-      val static = for (u <- 0 until g.nU; i <- g.uOff(u) until g.uOff(u + 1))
-        yield (g.uLabels(u), g.vLabels(g.uNbr(i)))
+      val s = StaticIndex(g)
+      val static = for (u <- 0 until g.nU; i <- s.uOff(u) until s.uOff(u + 1))
+        yield (g.uLabels(u), g.vLabels(s.uNbr(i)))
       Oracle.assertEquivalent(static.toDF("u", "v"), "SELECT DISTINCT u, v FROM edges", "edges" -> e)
     }
   }
