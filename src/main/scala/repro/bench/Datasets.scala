@@ -132,29 +132,25 @@ object Datasets {
     }
   }
 
-  private def spec(name: String, pu: Long, pv: Long, pe: Long, scale: Int, nT: Int,
-                   p: Params, seed: Long): DatasetSpec =
-    DatasetSpec(name, pu, pv, pe, scale, nT, p, seed)
-
   /** The 15 stand-ins, in paper order. Paper |U|,|V|,|E| retained for the
     * Table 2 comparison; `scale` is the down-scaling factor we apply.
     */
   val all: Seq[DatasetSpec] = Seq(
-    spec("D1 (MI)",   100000L,   15648L,     58951L, 10,  25, Params(6, 2, 4),     101),
-    spec("D2 (Ip)",    28540L,   37088L,     73153L, 10,  31, Params(3, 2, 3),     102),
-    spec("D3 (diq)",   25771L,    1526L,    133874L, 10,  12, Params(3, 3, 3),     103),
-    spec("D4 (vec)",   33587L,    2282L,    339722L, 10,  14, Params(3, 3, 3),     104),
-    spec("D5 (LK)",   337510L,   42046L,    605642L, 30,  35, Params(3, 3, 3),     105),
-    spec("D6 (ben)",  249726L,   79269L,    845577L, 30,  17, Params(3, 3, 3),     106),
-    spec("D7 (Wut)",  530419L,  175215L,   2118877L, 30,  39, Params(3, 2, 3),     107),
-    spec("D8 (Bti)",  767448L,  204674L,   2517857L, 30,  22, Params(3, 3, 3),     108),
-    spec("D9 (AR)",  1230916L, 2146058L,   5754118L, 100, 21, Params(3, 3, 3),     109),
-    spec("D10 (id)", 2183495L,  125482L,   7890901L, 100, 59, Params(3, 3, 3),     110),
-    spec("D11 (ar)", 2943712L,  209374L,  13601759L, 100, 57, Params(3, 3, 3),     111),
-    spec("D12 (nl)", 3800350L,  220848L,  28294026L, 300, 65, Params(10, 6, 8),    112),
-    spec("D13 (it)", 4857109L,  343861L,  41146957L, 300, 65, Params(10, 6, 8),    113),
-    spec("D14 (fr)", 8870763L,  757622L,  66586964L, 400, 66, Params(10, 6, 8),    114),
-    spec("D15 (de)", 5910433L, 1025085L,  70745969L, 400, 67, Params(11, 11, 11),  115),
+    DatasetSpec("D1 (MI)",   100000L,   15648L,     58951L, 10,  25, Params(6, 2, 4),     101),
+    DatasetSpec("D2 (Ip)",    28540L,   37088L,     73153L, 10,  31, Params(3, 2, 3),     102),
+    DatasetSpec("D3 (diq)",   25771L,    1526L,    133874L, 10,  12, Params(3, 3, 3),     103),
+    DatasetSpec("D4 (vec)",   33587L,    2282L,    339722L, 10,  14, Params(3, 3, 3),     104),
+    DatasetSpec("D5 (LK)",   337510L,   42046L,    605642L, 30,  35, Params(3, 3, 3),     105),
+    DatasetSpec("D6 (ben)",  249726L,   79269L,    845577L, 30,  17, Params(3, 3, 3),     106),
+    DatasetSpec("D7 (Wut)",  530419L,  175215L,   2118877L, 30,  39, Params(3, 2, 3),     107),
+    DatasetSpec("D8 (Bti)",  767448L,  204674L,   2517857L, 30,  22, Params(3, 3, 3),     108),
+    DatasetSpec("D9 (AR)",  1230916L, 2146058L,   5754118L, 100, 21, Params(3, 3, 3),     109),
+    DatasetSpec("D10 (id)", 2183495L,  125482L,   7890901L, 100, 59, Params(3, 3, 3),     110),
+    DatasetSpec("D11 (ar)", 2943712L,  209374L,  13601759L, 100, 57, Params(3, 3, 3),     111),
+    DatasetSpec("D12 (nl)", 3800350L,  220848L,  28294026L, 300, 65, Params(10, 6, 8),    112),
+    DatasetSpec("D13 (it)", 4857109L,  343861L,  41146957L, 300, 65, Params(10, 6, 8),    113),
+    DatasetSpec("D14 (fr)", 8870763L,  757622L,  66586964L, 400, 66, Params(10, 6, 8),    114),
+    DatasetSpec("D15 (de)", 5910433L, 1025085L,  70745969L, 400, 67, Params(11, 11, 11),  115),
   )
 
   def byName(name: String): DatasetSpec =

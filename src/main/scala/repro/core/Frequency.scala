@@ -123,7 +123,7 @@ object Frequency {
     * T(v) = { t : δ(v,t) ≥ τ_U } packed into Long words, so the rule
     * |∩_{v∈V_S∪{v'}} T(v)| < λ is a popcount over an AND.
     */
-  final class TBits(g: TemporalBipartiteGraph, tauU: Int) extends Serializable {
+  final class TBits(g: TemporalBipartiteGraph, tauU: Int) {
     val words: Int = (g.nT + 63) >>> 6
     /** v -> bitset of timestamps where δ(v,t) ≥ τ_U. */
     val bits: Array[Array[Long]] = Array.tabulate(g.nV) { v =>

@@ -16,7 +16,7 @@ final class TimeBudgetExceeded(ms: Long) extends RuntimeException(s"time budget 
   * one deadline can be shared by every worker of a run. A `limitMs` ≤ 0
   * never expires.
   */
-final class Deadline(limitMs: Long) extends Serializable {
+final class Deadline(limitMs: Long) {
   private val startNanos = System.nanoTime()
 
   /** Cheap amortised check: samples the clock when `nodes`, the caller's own
@@ -44,16 +44,15 @@ object Deadline {
   * read by Steps 3–4 and Theorem 4.1's tests — the Γ(u, t) entries Step 3
   * scans and the binary-search probes that find its later-sibling bound in
   * each, those of the lower-id maximality pass, and the Γ(w, t) entries of
-  * the witness's extension and dominance tests. `maxChecks` counts the
-  * would-be results that reached Theorem 4.1's test and `witnessHits` those
-  * that the witness settled. `dominatedCuts` counts the frequent nodes whose
-  * children and emit were skipped because the witness dominates them, and
-  * `coverCuts` the children skipped because a smaller candidate of their
-  * parent's C_V* covers the parent. `maxDepth` is the largest |V_S| a VFree
-  * node reached. All but the times are deterministic, whatever the number
-  * of workers.
+  * the witness's dominance test. `maxChecks` counts the would-be results
+  * that reached Theorem 4.1's test. `dominatedCuts` counts the frequent
+  * nodes whose children and emit were skipped because the witness dominates
+  * them, and `coverCuts` the children skipped because a smaller candidate
+  * of their parent's C_V* covers the parent. `maxDepth` is the largest
+  * |V_S| a VFree node reached. All but the times are deterministic,
+  * whatever the number of workers.
   */
-final class EnumStats extends Serializable {
+final class EnumStats {
   var nodes: Long = 0L          // search-tree nodes expanded
   var freqChecks: Long = 0L     // frequency verifications performed
   var cmNanos: Long = 0L        // candidate-set computation + maximality time
@@ -63,7 +62,6 @@ final class EnumStats extends Serializable {
   var step1Touches: Long = 0L   // VFree: Γ(v, t) entries scanned in Step 1
   var step3Touches: Long = 0L   // VFree: entries read by Steps 3–4 and Theorem 4.1's test
   var maxChecks: Long = 0L      // VFree: would-be results given Theorem 4.1's test
-  var witnessHits: Long = 0L    // VFree: of those, the ones the witness settled
   var dominatedCuts: Long = 0L  // VFree: nodes cut because the witness dominates them
   var coverCuts: Long = 0L      // VFree: children skipped because a smaller candidate covers their parent
   var maxDepth: Int = 0         // VFree: largest |V_S| of a search node
@@ -79,7 +77,6 @@ final class EnumStats extends Serializable {
     step1Touches += o.step1Touches
     step3Touches += o.step3Touches
     maxChecks += o.maxChecks
-    witnessHits += o.witnessHits
     dominatedCuts += o.dominatedCuts
     coverCuts += o.coverCuts
     maxDepth = math.max(maxDepth, o.maxDepth)

@@ -72,9 +72,9 @@ import scala.collection.mutable
   * are themselves infrequent or undersized would be reported (DESIGN.md §6);
   * brute-force cross-validation pins this down.
   *
-  * Four exact cuts are added to the printed algorithm. None changes the
-  * results. The first two drop reads only, and leave the nodes, C_V* and
-  * `maxDepth` as they were; the last two drop whole subtrees:
+  * Three exact cuts are added to the printed algorithm. None changes the
+  * results. The first drops reads only, and leaves the nodes, C_V* and
+  * `maxDepth` as they were; the other two drop whole subtrees:
   *  - Later-sibling bound (Lemma 2.2). A child's C_V* lies within its
   *    parent's C_V* above the child's v, so [[branch]] takes `hiV`, the last
   *    entry of the parent's C_V*, and Step 3 does no counting at the V-slots
@@ -83,24 +83,21 @@ import scala.collection.mutable
   *    `stats.step3Touches` counts the probes, not the entries skipped. The
   *    last child skips Step 3. This is the tail bound of set-enumeration
   *    search (MAFIA, Burdick, Calimlim & Gehrke, ICDE 2001).
-  *  - Witness-first maximality (Theorem 4.1). `notRepeat` first tries the
-  *    v' that last extended a would-be result of this seed, and runs the
-  *    full lower-id pass only when that v' does not extend this one. This is
-  *    GenMax's progressive focusing (Gouda & Zaki, ICDM 2001). [[runSeed]]
-  *    resets the witness, so every counter of a seed is the same whatever
-  *    the engine ran before. The full pass stops once no v' can reach λ in
-  *    the survived timestamps it has left to read.
-  *  - Dominance cut (Theorem 4.1). Let the witness w be below v and outside
-  *    V_S', and adjacent, at every survived t of a frequent node, to every u
-  *    of cand_U(t). The node's descendants add only ids above v, so each
-  *    frequent one keeps a subset of C_T' and of each cand_U, and w extends
-  *    it as it extends V_S'. Theorem 4.1 would reject every would-be result
-  *    of the subtree, so the node skips Steps 3–4, its children, its emit
-  *    and its `notRepeat` call (`stats.dominatedCuts`). The test runs right
-  *    after Steps 1–2, one merge of each stored cand_U(t) with Γ(w, t). It
-  *    is the maximality pruning of MBEA/iMBEA for maximal bicliques (Zhang
-  *    et al., BMC Bioinformatics 2014) and LCM's closure test (Uno, Kiyomi &
-  *    Arimura, FIMI 2004), asked of the witness alone.
+  *  - Dominance cut (Theorem 4.1). `notRepeat`'s lower-id pass sets the
+  *    witness w to the v' it last found extending a would-be result of this
+  *    seed; only this cut reads it, and [[runSeed]] resets it, so every
+  *    counter of a seed is the same whatever the engine ran before. Let w be
+  *    below v and outside V_S', and adjacent, at every survived t of a
+  *    frequent node, to every u of cand_U(t). The node's descendants add
+  *    only ids above v, so each frequent one keeps a subset of C_T' and of
+  *    each cand_U, and w extends it as it extends V_S'. Theorem 4.1 would
+  *    reject every would-be result of the subtree, so the node skips Steps
+  *    3–4, its children, its emit and its `notRepeat` call
+  *    (`stats.dominatedCuts`). The test runs right after Steps 1–2, one
+  *    merge of each stored cand_U(t) with Γ(w, t). It is the maximality
+  *    pruning of MBEA/iMBEA for maximal bicliques (Zhang et al., BMC
+  *    Bioinformatics 2014) and LCM's closure test (Uno, Kiyomi & Arimura,
+  *    FIMI 2004), asked of the witness alone.
   *  - Cover cut. Let some v' of C_V* be adjacent, at every survived t of a
   *    frequent node, to every u of cand_U(t). A child v'' > v' and its
   *    descendants never contain v', and each frequent one keeps a subset of
@@ -115,7 +112,7 @@ import scala.collection.mutable
   *    Gehrke, ICDE 2001) and iMBEA's move into R of a candidate adjacent to
   *    all of L' (Zhang et al., BMC Bioinformatics 2014).
   */
-final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) extends Serializable {
+final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
   val stats = new EnumStats
 
   private val gUOff = g.gUOff; private val gUNbr = g.gUNbr
@@ -231,7 +228,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
             }
             stats.coverCuts += nCv - si
           }
-        } else if (vsSize2 >= p.tauV && notRepeat(v, vsSize2, base, nCt))
+        } else if (vsSize2 >= p.tauV && notRepeat(nCt))
           results += java.util.Arrays.copyOf(vs, vsSize2)
       }
     }
@@ -324,26 +321,19 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     nCv
   }
 
-  /** Theorem 4.1 at a would-be result V_S' = vs[0, size) whose largest id
-    * is `v`: true unless some v' < v outside V_S has τ_U common m-neighbors
-    * with V_S' at λ of its survived timestamps stack[ctOff, ctOff + nCt).
-    * The `witness`, the last v' that extended a would-be result of this
-    * seed, is tried first ([[extendedBy]]); a would-be result and the next
-    * one mostly share their extender. Otherwise Steps 3–4 run over the
-    * prefix v' < v (slots below v's) of each Γ(u, t), u in the stored
-    * cand_U(t), stopping at the first v' to reach λ, which becomes the
-    * witness, or once the largest count plus the timestamps left falls
-    * below λ; a v' in V_S is skipped when its count reaches τ_U, the only
-    * point where it could matter. `candV` is free here, so it lists the v'
-    * whose `cntT` this pass raised; it zeroes them before returning.
+  /** Theorem 4.1 at a would-be result V_S' whose largest id is v, over its
+    * nCt stored cand_U lists: true unless some v' < v outside V_S' has τ_U
+    * common m-neighbors with V_S' at λ of its survived timestamps. Steps
+    * 3–4 run over the prefix v' < v (slots below v's) of each Γ(u, t), u in
+    * the stored cand_U(t), stopping at the first v' to reach λ, which
+    * becomes the `witness` that the dominance cut reads, or once the
+    * largest count plus the timestamps left falls below λ; a v' in V_S' is
+    * skipped when its count reaches τ_U, the only point where it could
+    * matter. `candV` is free here, so it lists the v' whose `cntT` this
+    * pass raised; it zeroes them before returning.
     */
-  private def notRepeat(v: Int, size: Int, ctOff: Int, nCt: Int): Boolean = {
+  private def notRepeat(nCt: Int): Boolean = {
     stats.maxChecks += 1
-    val w = witness
-    if (w >= 0 && w < v && !inVS(w) && extendedBy(w, size, ctOff, nCt)) {
-      stats.witnessHits += 1
-      return false
-    }
     var touched = 0
     var touch3 = 0L
     var extended = false
@@ -384,36 +374,6 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) exte
     while (c < touched) { cntT(candV(c)) = 0; c += 1 }
     stats.step3Touches += touch3
     !extended
-  }
-
-  /** Whether w joins V_S' = vs[0, size) at λ of its survived timestamps
-    * stack[ctOff, ctOff + nCt): at each such t, w needs τ_U m-neighbors in
-    * cand_U, read off `cntU` along Γ(w, t). Stops once λ is reached or out
-    * of reach.
-    */
-  private def extendedBy(w: Int, size: Int, ctOff: Int, nCt: Int): Boolean = {
-    var hits = 0
-    var touch = 0L
-    val kEnd = vSlotOff(w + 1)
-    var k = vSlotOff(w)
-    var ti = 0
-    while (ti < nCt && k < kEnd && hits < p.lambda && hits + nCt - ti >= p.lambda) {
-      val t = stack(ctOff + ti)
-      k = seek(k, kEnd, t)
-      if (k < kEnd && vSlotT(k) == t) {
-        var m = 0
-        val start = gVOff(k)
-        val end = gVOff(k + 1)
-        var i = start
-        while (i < end && m < p.tauU) { if (cntU(gVNbr(i)) == size) m += 1; i += 1 }
-        touch += i - start
-        if (m >= p.tauU) hits += 1
-        k += 1
-      }
-      ti += 1
-    }
-    stats.step3Touches += touch
-    hits >= p.lambda
   }
 
   /** Whether w dominates the node whose survived timestamps are

@@ -228,11 +228,17 @@ object TemporalBipartiteGraph {
     */
   def fromDF(df: DataFrame): TemporalBipartiteGraph = {
     val rows = df.selectExpr("cast(u as long) as u", "cast(v as long) as v", "cast(t as long) as t").collect()
-    val cols = Seq("u", "v", "t").zipWithIndex.map { case (name, c) =>
-      Array.tabulate(rows.length) { i =>
-        require(!rows(i).isNullAt(c), s"fromDF: null $name in edge row $i")
-        rows(i).getLong(c)
+    val names = Array("u", "v", "t")
+    val cols = Array.fill(3)(new Array[Long](rows.length))
+    var i = 0
+    while (i < rows.length) {
+      var c = 0
+      while (c < 3) {
+        require(!rows(i).isNullAt(c), s"fromDF: null ${names(c)} in edge row $i")
+        cols(c)(i) = rows(i).getLong(c)
+        c += 1
       }
+      i += 1
     }
     fromLabels(cols(0), cols(1), cols(2))
   }
@@ -240,13 +246,26 @@ object TemporalBipartiteGraph {
   /** Labelled edge columns to a graph: each side's ids follow ascending label order. */
   private def fromLabels(us: Array[Long], vs: Array[Long], ts: Array[Long]): TemporalBipartiteGraph = {
     val uLabels = distinctSorted(us); val vLabels = distinctSorted(vs); val tLabels = distinctSorted(ts)
-    def ids(col: Array[Long], labels: Array[Long]) = col.map(java.util.Arrays.binarySearch(labels, _))
+    def ids(col: Array[Long], labels: Array[Long]) = {
+      val out = new Array[Int](col.length)
+      var i = 0
+      while (i < col.length) { out(i) = java.util.Arrays.binarySearch(labels, col(i)); i += 1 }
+      out
+    }
     fromInternal(ids(us, uLabels), ids(vs, vLabels), ids(ts, tLabels), uLabels, vLabels, tLabels)
   }
 
+  /** The distinct values of `col`, ascending: a sorted copy deduplicated in place. */
   private def distinctSorted(col: Array[Long]): Array[Long] = {
-    val s = col.sorted
-    s.indices.collect { case i if i == 0 || s(i - 1) != s(i) => s(i) }.toArray
+    val s = col.clone()
+    java.util.Arrays.sort(s)
+    var n = 0
+    var i = 0
+    while (i < s.length) {
+      if (n == 0 || s(n - 1) != s(i)) { s(n) = s(i); n += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(s, n)
   }
 
   /** Stable counting sort of `idx` by `key(idx(i))` ∈ `[0, n)`: the sorted
