@@ -30,7 +30,9 @@ import scala.collection.mutable
   * naive verification and result recording read without re-sorting.
   *
   * N(v) and CheckFRE read the graph's static projection, a [[StaticIndex]]
-  * built once in the constructor, outside every timed span.
+  * built once in the constructor, outside every timed span. Only the
+  * variants that run CheckFRE (`useArrayVerify`) build a `CheckFre`, and
+  * with it the index's T(u, v) lists.
   *
   * `stats.cmNanos` accumulates valid-candidate-set computation plus
   * maximality verification time (BK-ALG+ too) — the "FilterV-CM" of Table 1.
@@ -42,7 +44,7 @@ final class FilterV(g: TemporalBipartiteGraph, p: Params,
 
   private val tb = if (useCandFilter) new Frequency.TBits(g, p.tauU) else null
   private val index = StaticIndex(g)
-  private val checkFre = new Frequency.CheckFre(index)
+  private val checkFre = if (useArrayVerify) new Frequency.CheckFre(index) else null
   private val vsMember = new Array[Boolean](g.nV)
   private val vsStack = new Array[Int](math.max(1, g.nV)) // ascending branch ids
   // Per-depth C_V* segments; the bottom nV entries are the root's candidates,

@@ -76,15 +76,19 @@ object Frequency {
   }
 
   /** Array-based frequency verification (Algorithm 3), over the static
-    * views of a graph's [[StaticIndex]]: N(u) and, per static edge, T(u, v).
+    * views of a graph's [[StaticIndex]]: N(u) and, per static edge, T(u, v),
+    * which the constructor reads, so the index builds T(u, v) then.
     *
     * Holds one Reborn Array and one Update Array of length |T| which are
     * reused across calls, exactly as the paper's structures. Not
     * thread-safe — allocate one instance per search thread/partition.
     */
   final class CheckFre(index: StaticIndex) {
-    private val ra = new Array[Int](index.nT) // Reborn Array: u's m-neighbors in V_S per t
-    private val ua = new Array[Int](index.nT) // Update Array: common m-neighbors of V_S per t
+    private val nT = index.nT
+    private val uOff = index.uOff; private val uNbr = index.uNbr
+    private val tsOff = index.tsOff; private val ts = index.ts
+    private val ra = new Array[Int](nT) // Reborn Array: u's m-neighbors in V_S per t
+    private val ua = new Array[Int](nT) // Update Array: common m-neighbors of V_S per t
 
     /** Algorithm 3: returns true iff V_S (given via membership flags and
       * size) has ≥ λ support timestamps. `us` holds the common s-neighbors
@@ -97,21 +101,21 @@ object Frequency {
       while (i < usLen) {
         val u = us(i)
         java.util.Arrays.fill(ra, 0)
-        var j = index.uOff(u)
-        while (j < index.uOff(u + 1)) {
-          if (vsMember(index.uNbr(j))) {
-            var k = index.tsOff(j)
-            while (k < index.tsOff(j + 1)) { ra(index.ts(k)) += 1; k += 1 }
+        var j = uOff(u)
+        while (j < uOff(u + 1)) {
+          if (vsMember(uNbr(j))) {
+            var k = tsOff(j)
+            while (k < tsOff(j + 1)) { ra(ts(k)) += 1; k += 1 }
           }
           j += 1
         }
         var t = 0
-        while (t < index.nT) { if (ra(t) == vsSize) ua(t) += 1; t += 1 }
+        while (t < nT) { if (ra(t) == vsSize) ua(t) += 1; t += 1 }
         i += 1
       }
       var cnt = 0
       var t = 0
-      while (t < index.nT) {
+      while (t < nT) {
         if (ua(t) >= tauU) { cnt += 1; if (cnt >= lambda) return true }
         t += 1
       }

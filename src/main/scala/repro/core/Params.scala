@@ -43,14 +43,17 @@ object Deadline {
   * deterministic counts: Γ(v, t) entries read by Step 1, and the entries
   * read by Steps 3–4 and Theorem 4.1's tests — the Γ(u, t) entries Step 3
   * scans and the binary-search probes that find its later-sibling bound in
-  * each, those of the lower-id maximality pass, and the Γ(w, t) entries of
-  * the witness's dominance test. `maxChecks` counts the would-be results
-  * that reached Theorem 4.1's test. `dominatedCuts` counts the frequent
-  * nodes whose children and emit were skipped because the witness dominates
-  * them, and `coverCuts` the children skipped because a smaller candidate
-  * of their parent's C_V* covers the parent. `maxDepth` is the largest
-  * |V_S| a VFree node reached. All but the times are deterministic,
-  * whatever the number of workers.
+  * each, those of the lookahead test and of the lower-id maximality pass,
+  * and the Γ(w, t) entries of the witness's dominance test. `maxChecks`
+  * counts the would-be results that reached Theorem 4.1's test, the
+  * frequent head ∪ tail groups of the lookahead cut among them.
+  * `dominatedCuts` counts the frequent nodes whose children and emit were
+  * skipped because the witness dominates them, `coverCuts` the children
+  * skipped because a smaller candidate of their parent's C_V* covers the
+  * parent, and `lookaheadCuts` the nodes whose children were skipped
+  * because their head ∪ tail V_S' ∪ C_V* is frequent. `maxDepth` is the
+  * largest |V_S| a VFree node reached. All but the times are
+  * deterministic, whatever the number of workers.
   */
 final class EnumStats {
   var nodes: Long = 0L          // search-tree nodes expanded
@@ -64,6 +67,7 @@ final class EnumStats {
   var maxChecks: Long = 0L      // VFree: would-be results given Theorem 4.1's test
   var dominatedCuts: Long = 0L  // VFree: nodes cut because the witness dominates them
   var coverCuts: Long = 0L      // VFree: children skipped because a smaller candidate covers their parent
+  var lookaheadCuts: Long = 0L  // VFree: nodes whose head ∪ tail is frequent, searched no further
   var maxDepth: Int = 0         // VFree: largest |V_S| of a search node
 
   /** Adds another run's search counters to these (`maxDepth` by max); the
@@ -79,6 +83,7 @@ final class EnumStats {
     maxChecks += o.maxChecks
     dominatedCuts += o.dominatedCuts
     coverCuts += o.coverCuts
+    lookaheadCuts += o.lookaheadCuts
     maxDepth = math.max(maxDepth, o.maxDepth)
   }
 

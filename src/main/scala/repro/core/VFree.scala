@@ -44,13 +44,16 @@ import scala.collection.mutable
   * the parent's segment. V_S is an array indexed by depth.
   *
   * Memory per engine: one `Int` per U-slot, an `Int` and a `Long` per
-  * V-slot (all at most |E|), the largest Σ_t |Γ(v, t)| of any v plus 2·nT
-  * for the stored cand_U lists, and O(nU + nV) more, plus at most
+  * V-slot (all at most |E|), three `Int`s per entry of the largest
+  * Σ_t |Γ(v, t)| of any v (the stored cand_U lists and Step 3's two bounds
+  * on each entry's Γ(u, t)) plus 2·nT, and O(nU + nV) more, plus at most
   * nT + depth·(nT + nV) stack entries; [[run]] with k workers holds k
-  * engines. Depth: a node is expanded only from a frequent parent, so the
-  * recursion is at most one deeper than the largest frequent group. The
-  * node count no longer grows with 2^depth: the cover cut takes K(3, 40)
-  * at (3, 2, 3) in 820 nodes, against the 2^40 − 1 of its subset lattice.
+  * engines. Depth: a node is expanded only from a frequent parent, so every
+  * node below a root is a frequent group, and a node expands children only
+  * when its head ∪ tail is not frequent; the recursion is no deeper than
+  * the largest frequent group. The node count no longer grows with
+  * 2^depth: the lookahead cut takes K(3, 40) at (3, 2, 3) in 40 nodes, one
+  * per seed at depth 1, against the 2^40 − 1 of its subset lattice.
   * A frame holds only scalars, so a depth in the thousands fits the
   * `-Xss64m` thread stack. Worker threads are created with the JVM's
   * default stack size, so that `-Xss` (which the tests and perfbench set to
@@ -72,9 +75,9 @@ import scala.collection.mutable
   * are themselves infrequent or undersized would be reported (DESIGN.md §6);
   * brute-force cross-validation pins this down.
   *
-  * Three exact cuts are added to the printed algorithm. None changes the
+  * Four exact cuts are added to the printed algorithm. None changes the
   * results. The first drops reads only, and leaves the nodes, C_V* and
-  * `maxDepth` as they were; the other two drop whole subtrees:
+  * `maxDepth` as they were; the other three drop whole subtrees:
   *  - Later-sibling bound (Lemma 2.2). A child's C_V* lies within its
   *    parent's C_V* above the child's v, so [[branch]] takes `hiV`, the last
   *    entry of the parent's C_V*, and Step 3 does no counting at the V-slots
@@ -111,6 +114,22 @@ import scala.collection.mutable
   *    This is MAFIA's parent-equivalence pruning (Burdick, Calimlim &
   *    Gehrke, ICDE 2001) and iMBEA's move into R of a candidate adjacent to
   *    all of L' (Zhang et al., BMC Bioinformatics 2014).
+  *  - Lookahead cut (Lemma 2.2). Every node below a frequent node V_S' is a
+  *    subset of its head ∪ tail H = V_S' ∪ C_V*. When H is frequent (and
+  *    |H| ≥ τ_V), H is the only group there that can be maximal, so the
+  *    node skips its children and gives H to Theorem 4.1's test instead
+  *    (`stats.lookaheadCuts`). No id in (v, hiV] outside C_V* extends V_S',
+  *    and by Lemma 2.2 no id above hiV does, so neither extends H, and the
+  *    lower-id pass, run over H's cand_U lists, decides; it sets the
+  *    witness as at any would-be result. The test runs after Step 3: at
+  *    each survived t it keeps the u of cand_U(t) whose Γ(u, t) holds every
+  *    v' of C_V*, walking only the entries that Step 3 counted in (v, hiV]
+  *    and skipping, unread, a u with fewer of them than |C_V*|. It drops a
+  *    t once fewer than τ_U of its u can stay and stops once fewer than λ
+  *    timestamps can. When every v' of C_V* covers the node, H keeps the
+  *    node's lists and the test reads nothing. This is Max-Miner's
+  *    lookahead (Bayardo, SIGMOD 1998) and MAFIA's frequent head ∪ tail
+  *    pruning (FHUT; Burdick, Calimlim & Gehrke, ICDE 2001).
   */
 final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
   val stats = new EnumStats
@@ -133,6 +152,11 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
     .map(v => gVOff(vSlotOff(v + 1)) - gVOff(vSlotOff(v))).maxOption.getOrElse(0))
   private val candN = new Array[Int](g.nT)
   private val candK = new Array[Int](g.nT)
+  // Set by Step 3 per stored cand_U entry: Γ(u, t)'s entries in (v, hiV]
+  // are gUNbr[candTop − candCnt, candTop).
+  private val candTop = new Array[Int](candU.length)
+  private val candCnt = new Array[Int](candU.length)
+  private val inCv = new Array[Boolean](g.nV) // marks C_V* during the lookahead test
   private val candV = new Array[Int](g.nV)
   private val vs = new Array[Int](g.nV) // V_S by depth, ascending
   // Per-depth segments [C_T' | C_V*]; the bottom nT entries are the root's C_T.
@@ -140,6 +164,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
   private val results = mutable.ArrayBuffer.empty[Array[Int]] // ascending internal ids
   private var witness = -1 // the v' that last extended a would-be result of this seed, or −1
   private var cover = -1 // set by validCandidates: the smallest v' of C_V* that covers the node, or −1
+  private var covers = 0 // set by validCandidates: how many v' of C_V* cover the node
 
   /** The first of v's slots in [k, kEnd) whose t is not below `t`. */
   private def seek(k: Int, kEnd: Int, t: Int): Int = {
@@ -204,7 +229,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
     stats.step1Touches += touch1
 
     // A frequent node with a child or an emit to lose is cut when the
-    // witness dominates it; otherwise Steps 3–4 and Theorem 4.1 run.
+    // witness dominates it; otherwise Steps 3–4 run, then the lookahead
+    // test or Theorem 4.1's.
     val later = hiV > v // else C_V* is empty: it lies within the later siblings'
     if (nCt >= p.lambda && (later || vsSize2 >= p.tauV)) {
       val w = witness
@@ -216,17 +242,28 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
           if (vsSize2 + nCv >= p.tauV) {
             val cov = cover // read before a child resets it
             java.util.Arrays.sort(st, cvOff, cvOff + nCv) // ascending processing order
-            val last = st(cvOff + nCv - 1)
-            // Children above the cover are skipped; the rest keep hiV = last.
-            var si = 0
-            var done = false
-            while (!done) {
-              val c = stack(cvOff + si)
-              branch(c, vsSize2, base, nCt, cvOff + nCv, last)
-              si += 1
-              done = si == nCv || c == cov
+            // When every v' of C_V* covers the node, H keeps its lists as they are.
+            val nH = if (covers == nCv) nCt else headTailFrequent(nCt, nCv, cvOff)
+            if (nH >= p.lambda) {
+              stats.lookaheadCuts += 1
+              if (notRepeat(nH)) {
+                val h = java.util.Arrays.copyOf(vs, vsSize2 + nCv)
+                System.arraycopy(st, cvOff, h, vsSize2, nCv)
+                results += h
+              }
+            } else {
+              val last = st(cvOff + nCv - 1)
+              // Children above the cover are skipped; the rest keep hiV = last.
+              var si = 0
+              var done = false
+              while (!done) {
+                val c = stack(cvOff + si)
+                branch(c, vsSize2, base, nCt, cvOff + nCv, last)
+                si += 1
+                done = si == nCv || c == cov
+              }
+              stats.coverCuts += nCv - si
             }
-            stats.coverCuts += nCv - si
           }
         } else if (vsSize2 >= p.tauV && notRepeat(nCt))
           results += java.util.Arrays.copyOf(vs, vsSize2)
@@ -297,6 +334,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
           j -= 1
         }
         touch3 += top - 1 - j
+        candTop(ci) = top
+        candCnt(ci) = top - 1 - j
         ci += 1
       }
       i += 1
@@ -305,20 +344,77 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
     val st = stack
     var nCv = 0
     var cov = -1
+    var nCov = 0
     var c = 0
     while (c < nCandV) {
       val v2 = candV(c)
       if (cntT(v2) >= p.lambda) {
         st(cvOff + nCv) = v2
         nCv += 1
-        if (cntFull(v2) == nCt && (cov < 0 || v2 < cov)) cov = v2
+        if (cntFull(v2) == nCt) {
+          nCov += 1
+          if (cov < 0 || v2 < cov) cov = v2
+        }
       }
       cntT(v2) = 0
       cntFull(v2) = 0
       c += 1
     }
     cover = cov
+    covers = nCov
     nCv
+  }
+
+  /** The lookahead test: whether H = V_S' ∪ C_V* is frequent, where C_V*
+    * is stack[cvOff, cvOff + nCv) and the node has nCt stored cand_U lists
+    * with Step 3's bounds. A u of cand_U(t) stays in H's cand_U(t) when its
+    * entries of Γ(u, t) in (v, hiV] hold every v' of C_V*; a u with fewer
+    * than nCv such entries is dropped unread. A t is dropped once fewer than
+    * τ_U of its u can still stay, and the test stops once fewer than λ
+    * timestamps can. When H is frequent, candU/candN/candK are compacted in
+    * place to H's lists and their count, at least λ, is returned; otherwise
+    * the lists are spoiled and the result is below λ.
+    */
+  private def headTailFrequent(nCt: Int, nCv: Int, cvOff: Int): Int = {
+    val st = stack
+    var c = 0
+    while (c < nCv) { inCv(st(cvOff + c)) = true; c += 1 }
+    var touch = 0L
+    var nH = 0 // H's survived timestamps so far
+    var w = 0 // next write into candU
+    var ci = 0
+    var i = 0
+    while (i < nCt && nH + nCt - i >= p.lambda) {
+      val cEnd = ci + candN(i)
+      val w0 = w
+      while (ci < cEnd && w - w0 + cEnd - ci >= p.tauU) {
+        val d = candCnt(ci)
+        if (d >= nCv) {
+          var need = nCv // C_V* entries not yet seen
+          var slack = d - nCv // entries outside C_V* still allowed
+          val top = candTop(ci)
+          var j = top - 1
+          while (need > 0 && slack >= 0) {
+            if (inCv(vOfSlot(gUNbr(j)))) need -= 1 else slack -= 1
+            j -= 1
+          }
+          touch += top - 1 - j
+          if (need == 0) { candU(w) = candU(ci); w += 1 }
+        }
+        ci += 1
+      }
+      ci = cEnd
+      if (w - w0 >= p.tauU) {
+        candN(nH) = w - w0
+        candK(nH) = candK(i)
+        nH += 1
+      } else w = w0
+      i += 1
+    }
+    c = 0
+    while (c < nCv) { inCv(st(cvOff + c)) = false; c += 1 }
+    stats.step3Touches += touch
+    nH
   }
 
   /** Theorem 4.1 at a would-be result V_S' whose largest id is v, over its

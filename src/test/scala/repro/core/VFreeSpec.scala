@@ -52,7 +52,7 @@ class VFreeSpec extends AnyFunSuite {
   }
 
   private def counters(s: EnumStats) =
-    (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth, s.maxChecks, s.dominatedCuts, s.coverCuts)
+    (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth, s.maxChecks, s.dominatedCuts, s.coverCuts, s.lookaheadCuts)
 
   test("results do not depend on seed processing order") {
     val g = TestGraphs.random(7, 7, 4, 0.5, 44)
@@ -85,15 +85,15 @@ class VFreeSpec extends AnyFunSuite {
     TestGraphs.of((for (u <- 0 until 3; v <- 0 until n; t <- 0 until 3) yield (u, v, t)): _*)
 
   // Every subset of V is frequent, so without the cuts the search tree is
-  // the full subset lattice, 2^n − 1 nodes. At every node the next id
-  // covers cand_U, so each node expands only its first child: seed s is one
-  // chain of n − s nodes, n(n + 1)/2 in all, and seed 0's chain is n deep.
+  // the full subset lattice, 2^n − 1 nodes. At seed s every later id covers
+  // cand_U, so head ∪ tail {s, …, n − 1} is frequent with no read, and the
+  // lookahead cut ends the seed at its root: n nodes in all, each at depth 1.
   for (n <- Seq(4, 10, 16, 40))
-    test(s"complete biclique K(3, $n) at 3 timestamps, (3, 2, 3): ${n * (n + 1) / 2} nodes, depth $n") {
+    test(s"complete biclique K(3, $n) at 3 timestamps, (3, 2, 3): $n nodes, depth 1") {
       val engine = new VFree(completeBiclique(n), Params(3, 2, 3), Deadline.unlimited)
       assert(engine.run() == Set((0 until n).map(_.toLong).toSet))
-      assert(engine.stats.nodes == n * (n + 1) / 2)
-      assert(engine.stats.maxDepth == n)
+      assert(engine.stats.nodes == n)
+      assert(engine.stats.maxDepth == 1)
     }
 
   test("search tree pinned: random(30, 30, 8, 0.5, 4242), GFCore + reorder at (2, 2, 2)") {
@@ -101,7 +101,7 @@ class VFreeSpec extends AnyFunSuite {
     val g = GFCore.degreeOrdered(TestGraphs.random(30, 30, 8, 0.5, 4242), p)
     val engine = new VFree(g, p, Deadline.unlimited)
     assert(engine.run().size == 27007)
-    assert(counters(engine.stats) == (232884L, 16103960L, 13808056L, 11, 126043L, 19682L, 5160L))
+    assert(counters(engine.stats) == (176817L, 13547771L, 13250329L, 9, 124138L, 14940L, 1388L, 39896L))
   }
 
   test("property: run on k ∈ {1, 2, 3, 8} workers ≡ brute force, with the k = 1 counters") {
@@ -202,15 +202,17 @@ class VFreeSpec extends AnyFunSuite {
   }
 
   test("dominance cut: fires above a would-be result, and the subtree it skips emits nothing") {
-    // U = {u0..u3} at t0, t1: v0 has all four, v1, v3, v4 have u0..u2 and
-    // v2 has u0, u1. No later id covers {0}'s cand_U, so every child of {0}
-    // runs. In seed 0 {0, 1, 3, 4} sets the witness to 2 and {0, 2, 3, 4}
-    // to 1; v1 then holds {0, 3}'s cand_U = {u0, u1, u2} at both t, so {0, 3}
-    // is cut and its child {0, 3, 4} is never expanded; {0, 4} is cut too.
-    val nbrs = Seq(0 -> (0 to 3), 1 -> (0 to 2), 2 -> (0 to 1), 3 -> (0 to 2), 4 -> (0 to 2))
+    // U = {u0..u3} at t0, t1: v0 has all four, v1, v3, v4 have u0..u2, v2
+    // has u0, u1 and v5 has u2, u3. No later id covers {0}'s cand_U, and v5
+    // leaves {0}'s head ∪ tail {0, …, 5} with no common u, so every child of
+    // {0} runs. In seed 0 {0, 2}'s head ∪ tail {0, 2, 3, 4} is extended by
+    // v1, which becomes the witness; v1 then holds {0, 3}'s cand_U =
+    // {u0, u1, u2} at both t, so {0, 3} is cut and its child {0, 3, 4} is
+    // never expanded; {0, 4} is cut too.
+    val nbrs = Seq(0 -> (0 to 3), 1 -> (0 to 2), 2 -> (0 to 1), 3 -> (0 to 2), 4 -> (0 to 2), 5 -> (2 to 3))
     val edges = for ((v, us) <- nbrs; u <- us; t <- 0 to 1) yield (u, v, t)
-    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set((0 to 4).map(_.toLong).toSet))
-    assert((s.nodes, s.dominatedCuts) == (23L, 3L))
+    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set((0 to 4).map(_.toLong).toSet, Set(0L, 5L)))
+    assert((s.nodes, s.dominatedCuts) == (11L, 2L))
   }
 
   test("dominance cut: not by a witness that misses one u of cand_U at one survived timestamp") {
@@ -246,10 +248,15 @@ class VFreeSpec extends AnyFunSuite {
   // above v' are skipped. The graphs are fed unreordered and checked
   // against brute force.
   test("cover cut: fires on K(3, 5), and the children it skips emit nothing") {
-    // At each node the next id covers cand_U = {u0, u1, u2}: the node whose
-    // largest id is v skips its 3 − v children above v + 1.
-    val s = cutStats(completeBiclique(5), Params(3, 2, 3), Set((0 to 4).map(_.toLong).toSet))
-    assert((s.nodes, s.coverCuts, s.dominatedCuts) == (15L, 10L, 0L))
+    // K(3, 5) at (2, 2, 3) without (u0, v3, t0) and (u1, v4, t0): every
+    // group holding both v3 and v4 has only u2 at t0, so no head ∪ tail
+    // above both is frequent. v1 and v2 cover cand_U = {u0, u1, u2}, so {0}
+    // skips its children 2, 3 and 4, {0, 1} its children 3 and 4, and {1}
+    // its children 3 and 4.
+    val edges = (for (u <- 0 until 3; v <- 0 until 5; t <- 0 until 3) yield (u, v, t)).filterNot(e =>
+      e == ((0, 3, 0)) || e == ((1, 4, 0)))
+    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 3), Set(Set(0L, 1L, 2L, 3L), Set(0L, 1L, 2L, 4L)))
+    assert((s.coverCuts, s.lookaheadCuts) == (7L, 0L))
   }
 
   test("cover cut: not by a candidate that misses one u of cand_U at one survived timestamp") {
@@ -274,13 +281,59 @@ class VFreeSpec extends AnyFunSuite {
   }
 
   test("cover cut: the children at or below the cover still emit, with ids above it") {
-    // v0 and v2 have u0, u1, u2 at t0 and t1; v1 and v3 have u0, u1. v2
-    // covers {0}, so its child 3 is skipped, but the child 1 below the cover
-    // runs with C_V* up to 3: the one MFG {0, 1, 2, 3} holds 1, 2 and 3.
-    val nbrs = Seq(0 -> (0 to 2), 1 -> (0 to 1), 2 -> (0 to 2), 3 -> (0 to 1))
+    // v0 and v2 have u0, u1, u2 at t0 and t1; v1 and v3 have u0, u1 and v4
+    // has u1, u2, so {0}'s head ∪ tail {0, …, 4} has only u1. v2 covers {0},
+    // so its children 3 and 4 are skipped, but the child 1 below the cover
+    // runs with C_V* up to 4: the MFG {0, 1, 2, 3} holds 1, 2 and 3.
+    val nbrs = Seq(0 -> (0 to 2), 1 -> (0 to 1), 2 -> (0 to 2), 3 -> (0 to 1), 4 -> (1 to 2))
     val edges = for ((v, us) <- nbrs; u <- us; t <- 0 to 1) yield (u, v, t)
-    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set((0 to 3).map(_.toLong).toSet))
+    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set((0 to 3).map(_.toLong).toSet, Set(0L, 2L, 4L)))
     assert(s.coverCuts > 0)
+  }
+
+  // The lookahead cut: when a node's head ∪ tail H = V_S' ∪ C_V* is
+  // frequent, H is the only group below it that can be maximal. The graphs
+  // are fed unreordered and checked against brute force.
+  test("lookahead cut: fires on K(3, 6) at every seed with a later candidate") {
+    val s = cutStats(completeBiclique(6), Params(3, 2, 3), Set((0 to 5).map(_.toLong).toSet))
+    assert((s.nodes, s.lookaheadCuts, s.coverCuts, s.maxChecks) == (6L, 5L, 0L, 5L))
+  }
+
+  test("lookahead cut: when every candidate covers the node, the test makes no reads") {
+    // Seed 0 of K(3, n): Step 3 reads the n − 1 later ids of Γ(u, t) for 3 u
+    // at 3 t, Theorem 4.1 has no lower id to read, and the lookahead reads
+    // nothing more.
+    val n = 7
+    val engine = new VFree(completeBiclique(n), Params(3, 2, 3), Deadline.unlimited)
+    assert(engine.runSeed(0).toSet == BruteForce.mfgLabels(completeBiclique(n), Params(3, 2, 3)))
+    assert((engine.stats.nodes, engine.stats.lookaheadCuts) == (1L, 1L))
+    assert(engine.stats.step3Touches == 9L * (n - 1))
+  }
+
+  test("lookahead cut: not when one u of cand_U misses one candidate and leaves fewer than τ_U") {
+    // τ_U = λ = 2, {0}'s cand_U = {u0, u1, u2} at t0 and t1, and C_V* =
+    // {1, 2}. At t1 v1 lacks u0 and v2 lacks u1, so H = {0, 1, 2} keeps only
+    // u2 there: the test stops at t1, H holds one timestamp, and {0}'s
+    // children {0, 1} and {0, 2} run and emit.
+    val edges = (for (u <- 0 to 2; v <- 0 to 2; t <- 0 to 1) yield (u, v, t)).filterNot(e =>
+      e == ((0, 1, 1)) || e == ((1, 2, 1)))
+    val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set(Set(0L, 1L), Set(0L, 2L)))
+    assert((s.nodes, s.lookaheadCuts, s.coverCuts) == (5L, 0L, 0L))
+  }
+
+  test("lookahead cut: a frequent head ∪ tail that a lower id extends emits nothing and sets the witness") {
+    // U = {u0..u3} at t0, t1: v0 and v1 have all four, v2 has u0, u1, v3
+    // has u0..u2 and v4 has u2, u3. Seed 1: {1}'s head ∪ tail {1, 2, 3, 4}
+    // has no common u, so its children run. {1, 2}'s is {1, 2, 3}, frequent
+    // and extended by v0: nothing is emitted and v0 becomes the witness,
+    // which then dominates {1, 3} and {1, 4}.
+    val nbrs = Seq(0 -> (0 to 3), 1 -> (0 to 3), 2 -> (0 to 1), 3 -> (0 to 2), 4 -> (2 to 3))
+    val g = TestGraphs.of((for ((v, us) <- nbrs; u <- us; t <- 0 to 1) yield (u, v, t)): _*)
+    cutStats(g, Params(2, 2, 2), Set(Set(0L, 1L, 2L, 3L), Set(0L, 1L, 4L)))
+    val engine = new VFree(g, Params(2, 2, 2), Deadline.unlimited)
+    assert(engine.runSeed(1).isEmpty)
+    val s = engine.stats
+    assert((s.nodes, s.lookaheadCuts, s.dominatedCuts) == (4L, 1L, 2L))
   }
 
   test("stats.nodes counts one node per branch expansion") {

@@ -161,19 +161,24 @@ class GraphBuilderPropertiesSpec extends AnyFunSuite {
   }
 
   /** The summed lengths of every `Int` array field of `x`, found by
-    * reflection, so that an array added to the class is counted too.
+    * reflection, so that an array added to the class is counted too. A lazy
+    * field not yet built is null and holds none.
     */
   private def intsHeld(x: AnyRef): Long =
     x.getClass.getDeclaredFields.filter(_.getType == classOf[Array[Int]]).map { f =>
-      f.setAccessible(true); f.get(x).asInstanceOf[Array[Int]].length.toLong
+      f.setAccessible(true); Option(f.get(x).asInstanceOf[Array[Int]]).fold(0L)(_.length.toLong)
     }.sum
 
   test("a graph holds nU + nV + 2·|E| + 2·S_U + 3·S_V + 4 Ints, its static index nU + nV + 3·|E_static| + |E| + 3") {
     def sizes(h: TemporalBipartiteGraph): Prop = {
       val (e, s) = (h.temporalEdgeCount, StaticIndex(h))
       val graph = h.nU + h.nV + 2 * e + 2L * h.uSlotT.length + 3L * h.vSlotT.length + 4
+      val unread = h.nU + h.nV + 2L * s.uNbr.length + 2 // before T(u, v) is first read
       val index = h.nU + h.nV + 3L * s.uNbr.length + e + 3
+      val heldUnread = intsHeld(s)
+      s.ts
       ((intsHeld(h) == graph) :| s"graph holds ${intsHeld(h)} Ints, the formula gives $graph") &&
+        ((heldUnread == unread) :| s"unread index holds $heldUnread Ints, the formula gives $unread") &&
         ((intsHeld(s) == index) :| s"index holds ${intsHeld(s)} Ints, the formula gives $index")
     }
     // a built graph, a keepSlots graph derived from it and its static projection
