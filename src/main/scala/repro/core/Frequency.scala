@@ -17,16 +17,6 @@ object Frequency {
     */
   object NaiveFreq {
 
-    /** Sorted common m-neighbors ∩_{v∈vs} Γ(v, t), as U ids; all of U for
-      * `vs` = ∅. Finds each slot by a binary search (tests and oracles).
-      */
-    def commonMNeighbors(g: TemporalBipartiteGraph, vs: Array[Int], t: Int): Array[Int] = {
-      val slots = vs.map(g.vSlot(_, t))
-      if (vs.isEmpty) Array.range(0, g.nU)
-      else if (slots.contains(-1)) Array.emptyIntArray
-      else common(g, slots).map(g.uOfSlot)
-    }
-
     /** ∩ of the Γ lists of V-slots of one t, as ascending U-slot ids. */
     private def common(g: TemporalBipartiteGraph, slots: Array[Int]): Array[Int] = {
       var acc = java.util.Arrays.copyOfRange(g.gVNbr, g.gVOff(slots(0)), g.gVOff(slots(0) + 1))
@@ -69,10 +59,6 @@ object Frequency {
       }
       false
     }
-
-    /** All support timestamps of `vs` (no early exit; used by tests/oracles). */
-    def supportTimestamps(g: TemporalBipartiteGraph, vs: Array[Int], tauU: Int): Array[Int] =
-      Array.range(0, g.nT).filter(t => commonMNeighbors(g, vs, t).length >= tauU)
   }
 
   /** Array-based frequency verification (Algorithm 3), over the static

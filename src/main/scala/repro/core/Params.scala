@@ -41,10 +41,9 @@ object Deadline {
   * no clock calls per node.
   * `step1Touches` and `step3Touches` are VFree's Theorem 4.2 cost terms as
   * deterministic counts: Γ(v, t) entries read by Step 1, and the entries
-  * read by Steps 3–4 and Theorem 4.1's tests — the Γ(u, t) entries Step 3
-  * scans and the binary-search probes that find its later-sibling bound in
-  * each, those of the lookahead test and of the lower-id maximality pass,
-  * and the Γ(w, t) entries of the witness's dominance test. `maxChecks`
+  * read by Steps 3–4 and Theorem 4.1's tests — the Γ(u, t) entries that
+  * Step 3, the lookahead test and the lower-id maximality pass scan, and
+  * the Γ(w, t) entries of the witness's dominance test. `maxChecks`
   * counts the would-be results that reached Theorem 4.1's test, the
   * frequent head ∪ tail groups of the lookahead cut among them.
   * `dominatedCuts` counts the frequent nodes whose children and emit were

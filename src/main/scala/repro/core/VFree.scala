@@ -43,21 +43,23 @@ import scala.collection.mutable
   * growable `Int` stack above its parent's; the child reads its C_T from
   * the parent's segment. V_S is an array indexed by depth.
   *
-  * Memory per engine: one `Int` per U-slot, an `Int` and a `Long` per
-  * V-slot (all at most |E|), three `Int`s per entry of the largest
-  * Σ_t |Γ(v, t)| of any v (the stored cand_U lists and Step 3's two bounds
-  * on each entry's Γ(u, t)) plus 2·nT, and O(nU + nV) more, plus at most
-  * nT + depth·(nT + nV) stack entries; [[run]] with k workers holds k
-  * engines. Depth: a node is expanded only from a frequent parent, so every
-  * node below a root is a frequent group, and a node expands children only
-  * when its head ∪ tail is not frequent; the recursion is no deeper than
-  * the largest frequent group. The node count no longer grows with
-  * 2^depth: the lookahead cut takes K(3, 40) at (3, 2, 3) in 40 nodes, one
-  * per seed at depth 1, against the 2^40 − 1 of its subset lattice.
-  * A frame holds only scalars, so a depth in the thousands fits the
-  * `-Xss64m` thread stack. Worker threads are created with the JVM's
-  * default stack size, so that `-Xss` (which the tests and perfbench set to
-  * 64m) covers them as it covers the caller.
+  * Memory per engine, with S_U and S_V the U- and V-slots (each at most
+  * |E|) and M the largest Σ_t |Γ(v, t)| of any v: S_U + S_V + 2·M + 2·nT +
+  * 4·nV `Int`s (the counts; the stored cand_U lists and Step 3's count on
+  * each entry; their sizes and v's slots per t; `cntT`, `cntFull`, cand_V
+  * and V_S), S_V `Long`s (`visitV`), 2·nV `Boolean`s, and a stack that
+  * starts at nT entries and holds at most nT + depth·(nT + nV); [[run]]
+  * with k workers holds k engines. Depth: a node is expanded only from a
+  * frequent parent, so every node below a root is a frequent group, and a
+  * node expands children only when its head ∪ tail is not frequent; the
+  * recursion is no deeper than the largest frequent group. The node count
+  * no longer grows with 2^depth: the lookahead cut takes K(3, 40) at
+  * (3, 2, 3) in 40 nodes, one per seed at depth 1, against the 2^40 − 1 of
+  * its subset lattice.
+  * A frame holds only scalars: depth 1,999 runs on a 512 KB thread stack,
+  * and the tests run it on 1 MB, the JVM's default thread stack on 64-bit
+  * Linux. Worker threads are created with that default (or `-Xss`, if the
+  * JVM is given one), so they get the stack the caller's threads get.
   *
   * The caller numbers V by ascending structural degree in the graph's one
   * derived-graph builder (`keepSlots`), over the core's surviving slots
@@ -75,17 +77,8 @@ import scala.collection.mutable
   * are themselves infrequent or undersized would be reported (DESIGN.md §6);
   * brute-force cross-validation pins this down.
   *
-  * Four exact cuts are added to the printed algorithm. None changes the
-  * results. The first drops reads only, and leaves the nodes, C_V* and
-  * `maxDepth` as they were; the other three drop whole subtrees:
-  *  - Later-sibling bound (Lemma 2.2). A child's C_V* lies within its
-  *    parent's C_V* above the child's v, so [[branch]] takes `hiV`, the last
-  *    entry of the parent's C_V*, and Step 3 does no counting at the V-slots
-  *    of the v' > hiV (ids at or above `vSlotOff(hiV + 1)`, at every t): it
-  *    binary-searches each Γ(u, t) for the first such entry, and
-  *    `stats.step3Touches` counts the probes, not the entries skipped. The
-  *    last child skips Step 3. This is the tail bound of set-enumeration
-  *    search (MAFIA, Burdick, Calimlim & Gehrke, ICDE 2001).
+  * Three exact cuts are added to the printed algorithm. None changes the
+  * results; each drops whole subtrees:
   *  - Dominance cut (Theorem 4.1). `notRepeat`'s lower-id pass sets the
   *    witness w to the v' it last found extending a would-be result of this
   *    seed; only this cut reads it, and [[runSeed]] resets it, so every
@@ -106,30 +99,28 @@ import scala.collection.mutable
   *    descendants never contain v', and each frequent one keeps a subset of
   *    C_T' and of each cand_U, so v' extends it and Theorem 4.1 would reject
   *    every would-be result there. The node expands its children up to the
-  *    smallest such v' and skips the rest (`stats.coverCuts`). The children
-  *    it runs keep `hiV` = the last entry of C_V*: groups that hold v' also
-  *    hold ids above it. Step 3 finds v' at one compare per counted entry:
-  *    `cntFull` counts, per v', the t at which its count reaches
-  *    |cand_U(t)|.
-  *    This is MAFIA's parent-equivalence pruning (Burdick, Calimlim &
-  *    Gehrke, ICDE 2001) and iMBEA's move into R of a candidate adjacent to
-  *    all of L' (Zhang et al., BMC Bioinformatics 2014).
+  *    smallest such v' and skips the rest (`stats.coverCuts`). Step 3 finds
+  *    v' at one compare per counted entry: `cntFull` counts, per v', the t
+  *    at which its count reaches |cand_U(t)|. This is MAFIA's
+  *    parent-equivalence pruning (Burdick, Calimlim & Gehrke, ICDE 2001)
+  *    and iMBEA's move into R of a candidate adjacent to all of L' (Zhang et
+  *    al., BMC Bioinformatics 2014).
   *  - Lookahead cut (Lemma 2.2). Every node below a frequent node V_S' is a
   *    subset of its head ∪ tail H = V_S' ∪ C_V*. When H is frequent (and
   *    |H| ≥ τ_V), H is the only group there that can be maximal, so the
   *    node skips its children and gives H to Theorem 4.1's test instead
-  *    (`stats.lookaheadCuts`). No id in (v, hiV] outside C_V* extends V_S',
-  *    and by Lemma 2.2 no id above hiV does, so neither extends H, and the
-  *    lower-id pass, run over H's cand_U lists, decides; it sets the
-  *    witness as at any would-be result. The test runs after Step 3: at
-  *    each survived t it keeps the u of cand_U(t) whose Γ(u, t) holds every
-  *    v' of C_V*, walking only the entries that Step 3 counted in (v, hiV]
-  *    and skipping, unread, a u with fewer of them than |C_V*|. It drops a
-  *    t once fewer than τ_U of its u can stay and stops once fewer than λ
-  *    timestamps can. When every v' of C_V* covers the node, H keeps the
-  *    node's lists and the test reads nothing. This is Max-Miner's
-  *    lookahead (Bayardo, SIGMOD 1998) and MAFIA's frequent head ∪ tail
-  *    pruning (FHUT; Burdick, Calimlim & Gehrke, ICDE 2001).
+  *    (`stats.lookaheadCuts`). Step 3 counts every id above v, so no id
+  *    above v outside C_V* extends V_S', and none extends H; the lower-id
+  *    pass, run over H's cand_U lists, decides, and sets the witness as at
+  *    any would-be result. The test runs after Step 3: at each survived t
+  *    it keeps the u of cand_U(t) whose Γ(u, t) holds every v' of C_V*,
+  *    walking only the entries that Step 3 counted above v and skipping,
+  *    unread, a u with fewer of them than |C_V*|. It drops a t once fewer
+  *    than τ_U of its u can stay and stops once fewer than λ timestamps
+  *    can. When every v' of C_V* covers the node, H keeps the node's lists
+  *    and the test reads nothing. This is Max-Miner's lookahead (Bayardo,
+  *    SIGMOD 1998) and MAFIA's frequent head ∪ tail pruning (FHUT; Burdick,
+  *    Calimlim & Gehrke, ICDE 2001).
   */
 final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
   val stats = new EnumStats
@@ -152,9 +143,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
     .map(v => gVOff(vSlotOff(v + 1)) - gVOff(vSlotOff(v))).maxOption.getOrElse(0))
   private val candN = new Array[Int](g.nT)
   private val candK = new Array[Int](g.nT)
-  // Set by Step 3 per stored cand_U entry: Γ(u, t)'s entries in (v, hiV]
-  // are gUNbr[candTop − candCnt, candTop).
-  private val candTop = new Array[Int](candU.length)
+  // Set by Step 3 per stored cand_U entry: how many entries of Γ(u, t) lie
+  // above v's slot, the last ones of the list.
   private val candCnt = new Array[Int](candU.length)
   private val inCv = new Array[Boolean](g.nV) // marks C_V* during the lookahead test
   private val candV = new Array[Int](g.nV)
@@ -176,10 +166,8 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
   /** One iteration of the `for v ∈ C_V` loop of VerifyFreeMFG: extends
     * V_S = vs[0, depth) with `v`, using the inherited survived timestamps
     * stack[ctOff, ctOff + ctLen); this node's segment starts at `base`.
-    * `hiV` is the last entry of the parent's C_V* (nV − 1 at a root): by
-    * Lemma 2.2 no v' > hiV can join this node's C_V*.
     */
-  private def branch(v: Int, depth: Int, ctOff: Int, ctLen: Int, base: Int, hiV: Int): Unit = {
+  private def branch(v: Int, depth: Int, ctOff: Int, ctLen: Int, base: Int): Unit = {
     deadline.check(stats.nodes)
     stats.nodes += 1
     val vsSize2 = depth + 1
@@ -228,16 +216,14 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
     }
     stats.step1Touches += touch1
 
-    // A frequent node with a child or an emit to lose is cut when the
-    // witness dominates it; otherwise Steps 3–4 run, then the lookahead
-    // test or Theorem 4.1's.
-    val later = hiV > v // else C_V* is empty: it lies within the later siblings'
-    if (nCt >= p.lambda && (later || vsSize2 >= p.tauV)) {
+    // A frequent node is cut when the witness dominates it; otherwise
+    // Steps 3–4 run, then the lookahead test or Theorem 4.1's.
+    if (nCt >= p.lambda) {
       val w = witness
       if (w >= 0 && w < v && !inVS(w) && dominates(w, base, nCt)) stats.dominatedCuts += 1
       else {
         val cvOff = base + nCt
-        val nCv = if (later) validCandidates(hiV, nCt, cvOff) else 0
+        val nCv = validCandidates(nCt, cvOff)
         if (nCv > 0) {
           if (vsSize2 + nCv >= p.tauV) {
             val cov = cover // read before a child resets it
@@ -252,13 +238,12 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
                 results += h
               }
             } else {
-              val last = st(cvOff + nCv - 1)
-              // Children above the cover are skipped; the rest keep hiV = last.
+              // Children above the cover are skipped.
               var si = 0
               var done = false
               while (!done) {
                 val c = stack(cvOff + si)
-                branch(c, vsSize2, base, nCt, cvOff + nCv, last)
+                branch(c, vsSize2, base, nCt, cvOff + nCv)
                 si += 1
                 done = si == nCv || c == cov
               }
@@ -288,15 +273,14 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
   }
 
   /** Steps 3–4 of a frequent node over its nCt stored cand_U lists, then its
-    * valid candidate set: counts, in each ascending Γ(u, t), the v' in
-    * (v, hiV] (slots in (k, kHi), with k v's slot at t), starting below the
-    * first entry at or above kHi, which a binary search finds when the last
-    * entry is not below kHi. Writes C_V* at stack[cvOff, …) unsorted and
-    * returns its size; sets `cover` to the smallest v' of C_V* adjacent to
-    * all of cand_U(t) at every survived t, or −1.
+    * valid candidate set: counts, in each ascending Γ(u, t), the v' > v
+    * (slots above k, v's slot at t), scanning from the list's end down.
+    * Records each entry's count in `candCnt`. Writes C_V* at stack[cvOff, …)
+    * unsorted and returns its size; sets `cover` to the smallest v' of C_V*
+    * adjacent to all of cand_U(t) at every survived t, or −1, and `covers`
+    * to how many v' of C_V* are.
     */
-  private def validCandidates(hiV: Int, nCt: Int, cvOff: Int): Int = {
-    val kHi = vSlotOff(hiV + 1) // slots of the v' ≤ hiV lie below, at every t
+  private def validCandidates(nCt: Int, cvOff: Int): Int = {
     var nCandV = 0
     var touch3 = 0L
     var ci = 0
@@ -308,17 +292,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
       pass += 1
       while (ci < cEnd) {
         val lo = gUOff(candU(ci))
-        var top = gUOff(candU(ci) + 1) // first entry at or above kHi
-        if (top > lo && gUNbr(top - 1) >= kHi) {
-          var a = lo
-          top -= 1
-          touch3 += 1
-          while (a < top) {
-            val m = (a + top) >>> 1
-            if (gUNbr(m) >= kHi) top = m else a = m + 1
-            touch3 += 1
-          }
-        }
+        val top = gUOff(candU(ci) + 1)
         var j = top - 1
         while (j >= lo && gUNbr(j) > k) {
           val s2 = gUNbr(j)
@@ -334,7 +308,6 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
           j -= 1
         }
         touch3 += top - 1 - j
-        candTop(ci) = top
         candCnt(ci) = top - 1 - j
         ci += 1
       }
@@ -367,9 +340,9 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
 
   /** The lookahead test: whether H = V_S' ∪ C_V* is frequent, where C_V*
     * is stack[cvOff, cvOff + nCv) and the node has nCt stored cand_U lists
-    * with Step 3's bounds. A u of cand_U(t) stays in H's cand_U(t) when its
-    * entries of Γ(u, t) in (v, hiV] hold every v' of C_V*; a u with fewer
-    * than nCv such entries is dropped unread. A t is dropped once fewer than
+    * with Step 3's counts. A u of cand_U(t) stays in H's cand_U(t) when its
+    * entries of Γ(u, t) above v hold every v' of C_V*; a u with fewer than
+    * nCv such entries is dropped unread. A t is dropped once fewer than
     * τ_U of its u can still stay, and the test stops once fewer than λ
     * timestamps can. When H is frequent, candU/candN/candK are compacted in
     * place to H's lists and their count, at least λ, is returned; otherwise
@@ -392,7 +365,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
         if (d >= nCv) {
           var need = nCv // C_V* entries not yet seen
           var slack = d - nCv // entries outside C_V* still allowed
-          val top = candTop(ci)
+          val top = gUOff(candU(ci) + 1)
           var j = top - 1
           while (need > 0 && slack >= 0) {
             if (inCv(vOfSlot(gUNbr(j)))) need -= 1 else slack -= 1
@@ -560,7 +533,7 @@ final class VFree(g: TemporalBipartiteGraph, p: Params, deadline: Deadline) {
     results.clear() // keep per-seed memory flat
     witness = -1 // so no counter depends on the seeds this engine ran before
     val t0 = System.nanoTime()
-    branch(seed, 0, 0, g.nT, g.nT, g.nV - 1)
+    branch(seed, 0, 0, g.nT, g.nT)
     stats.cmNanos += System.nanoTime() - t0
     results.iterator.map(_.map(g.vLabels).toSet).toVector
   }

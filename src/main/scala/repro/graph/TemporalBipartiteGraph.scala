@@ -82,12 +82,6 @@ final class TemporalBipartiteGraph private (
     lo
   }
 
-  /** Momentary degree δ(v, t) for v ∈ V. */
-  def mDegV(v: Int, t: Int): Int = { val k = vSlot(v, t); if (k < 0) 0 else gVOff(k + 1) - gVOff(k) }
-
-  /** Momentary degree δ(u, t) for u ∈ U. */
-  def mDegU(u: Int, t: Int): Int = { val k = uSlot(u, t); if (k < 0) 0 else gUOff(k + 1) - gUOff(k) }
-
   /** The one derived-graph builder: the subgraph of the edges whose U-slot
     * and V-slot are both alive, read straight off the slot views. `alive` is
     * indexed like GFCore's table, U-slot k at k and V-slot k at S_U + k, and

@@ -18,11 +18,11 @@ class VFreeStandInPinSpec extends SparkSpec {
 
   /** (dataset, setting, with the graph filter) → the `counters`, in order. */
   private val pinned: Seq[(String, (Int, Int, Int), Boolean, Seq[Long])] = Seq(
-    ("D4", (3, 3, 3), true, Seq(21926L, 3426969L, 6336598L, 17971L, 1132L, 3117L, 3127L, 9L, 12698L, 16215L)),
-    ("D12", (8, 4, 8), true, Seq(1800L, 1697362L, 1426679L, 121L, 21L, 70L, 120L, 6L, 41L, 69143L)),
-    ("D12", (10, 6, 8), true, Seq(446L, 390352L, 940667L, 61L, 19L, 70L, 60L, 6L, 12L, 46362L)),
-    ("D14", (10, 6, 8), true, Seq(1241L, 1199007L, 4137795L, 103L, 38L, 110L, 103L, 6L, 21L, 82390L)),
-    ("D4", (3, 3, 3), false, Seq(24711L, 4650279L, 7089208L, 18872L, 2015L, 4433L, 3646L, 11L, 12698L, 33119L)),
+    ("D4", (3, 3, 3), true, Seq(21926L, 3426969L, 6160061L, 17971L, 1151L, 3117L, 3127L, 9L, 12698L, 16215L)),
+    ("D12", (8, 4, 8), true, Seq(1800L, 1697362L, 1389641L, 121L, 23L, 70L, 120L, 6L, 41L, 69143L)),
+    ("D12", (10, 6, 8), true, Seq(446L, 390352L, 941697L, 61L, 23L, 70L, 60L, 6L, 12L, 46362L)),
+    ("D14", (10, 6, 8), true, Seq(1241L, 1199007L, 4137659L, 103L, 42L, 110L, 103L, 6L, 21L, 82390L)),
+    ("D4", (3, 3, 3), false, Seq(24711L, 4650279L, 6764755L, 18872L, 2058L, 4433L, 3646L, 11L, 12698L, 33119L)),
   )
 
   test("VFree and VFree- keep their pinned counters on D4, D12, D14") {

@@ -4,17 +4,18 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.graph.{GraphFields, SortedOps, StaticIndex}
+import repro.graph.GraphEdges._
 
 class FrequencySpec extends AnyFunSuite {
 
   private def naiveFrequency(g: repro.graph.TemporalBipartiteGraph, vs: Array[Int], tauU: Int): Int =
-    Frequency.NaiveFreq.supportTimestamps(g, vs, tauU).length
+    g.supportTimestamps(vs, tauU).length
 
   test("NaiveFreq: tiny graph support timestamps") {
     val g = TestGraphs.tiny
     // {v0,v1,v2}: t0,t1 complete; t2 only v0,v1 present
-    assert(Frequency.NaiveFreq.supportTimestamps(g, Array(0, 1, 2), 2).toSeq == Seq(0, 1))
-    assert(Frequency.NaiveFreq.supportTimestamps(g, Array(0, 1), 2).toSeq == Seq(0, 1, 2))
+    assert(g.supportTimestamps(Array(0, 1, 2), 2).toSeq == Seq(0, 1))
+    assert(g.supportTimestamps(Array(0, 1), 2).toSeq == Seq(0, 1, 2))
   }
 
   test("NaiveFreq: isFrequent early-exit agrees with full count") {
@@ -27,7 +28,7 @@ class FrequencySpec extends AnyFunSuite {
   test("NaiveFreq: empty set is supported wherever U side is large enough") {
     val g = TestGraphs.tiny
     // common m-neighbors of ∅ = all of U
-    assert(Frequency.NaiveFreq.commonMNeighbors(g, Array.empty, 0).length == g.nU)
+    assert(g.commonMNeighbors(Array.empty, 0).length == g.nU)
   }
 
   test("CheckFre matches the paper's Example 3.1 structure") {

@@ -5,6 +5,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs
 import repro.graph.{GraphGen, TemporalBipartiteGraph}
+import repro.graph.GraphEdges._
 
 import scala.jdk.CollectionConverters._
 
@@ -51,8 +52,17 @@ class VFreeSpec extends AnyFunSuite {
     assert(once == twice)
   }
 
-  private def counters(s: EnumStats) =
-    (s.nodes, s.step1Touches, s.step3Touches, s.maxDepth, s.maxChecks, s.dominatedCuts, s.coverCuts, s.lookaheadCuts)
+  private val counterNames = Seq("nodes", "step-1 touches", "step-3 touches", "maxDepth", "maximality checks",
+    "dominance cuts", "cover cuts", "lookahead cuts")
+
+  private def counters(s: EnumStats): Seq[Long] =
+    Seq(s.nodes, s.step1Touches, s.step3Touches, s.maxDepth.toLong, s.maxChecks, s.dominatedCuts, s.coverCuts,
+      s.lookaheadCuts)
+
+  /** Each counter that differs, named with its got and want values; empty when none does. */
+  private def moved(got: Seq[Long], want: Seq[Long]): String =
+    counterNames.indices.collect { case i if got(i) != want(i) => s"${counterNames(i)} got ${got(i)}, want ${want(i)}" }
+      .mkString("; ")
 
   test("results do not depend on seed processing order") {
     val g = TestGraphs.random(7, 7, 4, 0.5, 44)
@@ -64,7 +74,8 @@ class VFreeSpec extends AnyFunSuite {
     val (fwd, fwdCounters) = inOrder(0 until g.nV)
     val (bwd, bwdCounters) = inOrder(g.nV - 1 to 0 by -1)
     assert(fwd == bwd)
-    assert(fwdCounters == bwdCounters)
+    val diff = moved(bwdCounters, fwdCounters)
+    assert(diff.isEmpty, diff)
   }
 
   test("every reported MFG is frequent and size-feasible") {
@@ -101,7 +112,8 @@ class VFreeSpec extends AnyFunSuite {
     val g = GFCore.degreeOrdered(TestGraphs.random(30, 30, 8, 0.5, 4242), p)
     val engine = new VFree(g, p, Deadline.unlimited)
     assert(engine.run().size == 27007)
-    assert(counters(engine.stats) == (176817L, 13547771L, 13250329L, 9, 124138L, 14940L, 1388L, 39896L))
+    val diff = moved(counters(engine.stats), Seq(176817L, 13547771L, 12969636L, 9L, 124138L, 14940L, 1388L, 39896L))
+    assert(diff.isEmpty, diff)
   }
 
   test("property: run on k ∈ {1, 2, 3, 8} workers ≡ brute force, with the k = 1 counters") {
@@ -114,7 +126,7 @@ class VFreeSpec extends AnyFunSuite {
       }
       runs.map { case (k, res, c) =>
         ((res == want) :| s"$p, k = $k: got $res\nwant $want") &&
-          ((c == runs.head._3) :| s"$p, k = $k: counters $c, k = 1 ${runs.head._3}")
+          (moved(c, runs.head._3).isEmpty :| s"$p, k = $k against k = 1: ${moved(c, runs.head._3)}")
       }.reduce(_ && _)
     }, tests = 500)
   }
@@ -283,8 +295,9 @@ class VFreeSpec extends AnyFunSuite {
   test("cover cut: the children at or below the cover still emit, with ids above it") {
     // v0 and v2 have u0, u1, u2 at t0 and t1; v1 and v3 have u0, u1 and v4
     // has u1, u2, so {0}'s head ∪ tail {0, …, 4} has only u1. v2 covers {0},
-    // so its children 3 and 4 are skipped, but the child 1 below the cover
-    // runs with C_V* up to 4: the MFG {0, 1, 2, 3} holds 1, 2 and 3.
+    // so its children 3 and 4 are skipped, but its children 1 and 2, at or
+    // below the cover, still reach the ids above it: the MFGs {0, 1, 2, 3}
+    // and {0, 2, 4} hold 3 and 4.
     val nbrs = Seq(0 -> (0 to 2), 1 -> (0 to 1), 2 -> (0 to 2), 3 -> (0 to 1), 4 -> (1 to 2))
     val edges = for ((v, us) <- nbrs; u <- us; t <- 0 to 1) yield (u, v, t)
     val s = cutStats(TestGraphs.of(edges: _*), Params(2, 2, 2), Set((0 to 3).map(_.toLong).toSet, Set(0L, 2L, 4L)))
@@ -334,6 +347,56 @@ class VFreeSpec extends AnyFunSuite {
     assert(engine.runSeed(1).isEmpty)
     val s = engine.stats
     assert((s.nodes, s.lookaheadCuts, s.dominatedCuts) == (4L, 1L, 2L))
+  }
+
+  test("stack: K(3, 2000) less two edges at (2, 2, 3) reaches depth 1,999 on a 1 MB thread stack") {
+    // Without (u0, v_{n−2}, t0) and (u1, v_{n−1}, t0), a group holding both
+    // v_{n−2} and v_{n−1} keeps only u2 at t0, so the MFGs are V less one of
+    // them. Below {0, …, d} the smallest cover is d + 1 and head ∪ tail is
+    // infrequent, so seed 0 descends one id at a time to {0, …, n − 3},
+    // whose two children emit: n nodes, depth n − 1. 1 MB is the JVM's
+    // default thread stack on 64-bit Linux, the stack `run`'s workers get.
+    val n = 2000
+    val edges = (for (u <- 0 until 3; v <- 0 until n; t <- 0 until 3) yield (u, v, t)).filterNot(e =>
+      e == ((0, n - 2, 0)) || e == ((1, n - 1, 0)))
+    val engine = new VFree(TestGraphs.of(edges: _*), Params(2, 2, 3), Deadline.unlimited)
+    var got: Either[Throwable, Set[Set[Long]]] = Right(Set.empty)
+    val thread = new Thread(null, () => got = try Right(engine.runSeed(0).toSet) catch { case e: Throwable => Left(e) },
+      "vfree-deep", 1L << 20)
+    thread.start()
+    thread.join()
+    val all = (0 until n).map(_.toLong).toSet
+    assert(got == Right(Set(all - (n - 1), all - (n - 2))))
+    assert((engine.stats.nodes, engine.stats.maxDepth) == (n.toLong, n - 1))
+  }
+
+  /** The summed lengths of `x`'s array fields of element type `elem`, found
+    * by reflection so that an array added to the class is counted too,
+    * leaving out `stack` and the arrays that `x` shares with `g`.
+    */
+  private def held(x: AnyRef, g: TemporalBipartiteGraph, elem: Class[_]): Long = {
+    def arrays(o: AnyRef) = o.getClass.getDeclaredFields.filter(_.getType.getComponentType == elem).map { f =>
+      f.setAccessible(true); (f.getName, f.get(o))
+    }
+    val shared = arrays(g).map(_._2)
+    arrays(x).collect { case (name, a) if !name.endsWith("stack") && !shared.exists(_ eq a) =>
+      java.lang.reflect.Array.getLength(a).toLong
+    }.sum
+  }
+
+  test("property: an engine holds S_U + S_V + 2·M + 2·nT + 4·nV Ints, S_V Longs, 2·nV Booleans and an nT stack") {
+    GraphGen.check(forAll(GraphGen.graphs, GraphGen.params(4)) { (g0, p) =>
+      val g = GFCore.degreeOrdered(g0, p)
+      val e = new VFree(g, p, Deadline.unlimited)
+      val (sU, sV) = (g.uSlotT.length.toLong, g.vSlotT.length.toLong)
+      val m = (0 until g.nV).map(v => (0 until g.nT).map(g.mDegV(v, _)).sum).maxOption.getOrElse(0)
+      val stackField = e.getClass.getDeclaredFields.find(_.getName.endsWith("stack")).get
+      stackField.setAccessible(true)
+      val want = Seq(sU + sV + 2L * m + 2L * g.nT + 4L * g.nV, sV, 2L * g.nV, g.nT.toLong)
+      val got = Seq(held(e, g, classOf[Int]), held(e, g, classOf[Long]), held(e, g, classOf[Boolean]),
+        stackField.get(e).asInstanceOf[Array[Int]].length.toLong)
+      (got == want) :| s"Ints, Longs, Booleans, stack: got $got, want $want"
+    }, tests = 300)
   }
 
   test("stats.nodes counts one node per branch expansion") {

@@ -6,10 +6,10 @@ import repro.graph.{StaticIndex, TemporalBipartiteGraph}
 import repro.graph.GraphEdges._
 
 /** DuckDB checks of the graph and frequency code the enumerators run: the
-  * static view (the graph's `StaticIndex`), the m-degrees, Lemma 3.2's T(v)
-  * bitsets, the support timestamps of Def. 2.4 and the Table 2 counts, each
-  * read from a graph built by `fromDF` and compared with SQL over the same
-  * edge table.
+  * static view (the graph's `StaticIndex`), the slot views (through
+  * `GraphEdges`' m-degrees and support timestamps of Def. 2.4), Lemma 3.2's
+  * T(v) bitsets and the Table 2 counts, each read from a graph built by
+  * `fromDF` and compared with SQL over the same edge table.
   *
   * The class keeps the name of the DataFrame layer these cases once
   * checked, and every case keeps its name, so that test ids stay stable
@@ -92,7 +92,7 @@ class BipartiteDFSpec extends SparkSpec {
       val vs = rng.shuffle(g.vLabels.toList).take(2).sorted
       val inList = vs.map(v => s"'$v'").mkString(", ")
       val vIds = vs.map(java.util.Arrays.binarySearch(g.vLabels, _)).toArray
-      val ts = Frequency.NaiveFreq.supportTimestamps(g, vIds, tauU).map(g.tLabels(_))
+      val ts = g.supportTimestamps(vIds, tauU).map(g.tLabels(_))
       Oracle.assertEquivalent(
         ts.toSeq.toDF("t"),
         s"""SELECT t FROM (
@@ -111,7 +111,7 @@ class BipartiteDFSpec extends SparkSpec {
       val g = TestGraphs.random(7, 7, 5, 0.5, seed + 60)
       val pairs = for {
         i <- 0 until g.nV; j <- i + 1 until g.nV
-        t <- Frequency.NaiveFreq.supportTimestamps(g, Array(i, j), 2)
+        t <- g.supportTimestamps(Array(i, j), 2)
       } yield (g.vLabels(i), g.vLabels(j), g.tLabels(t))
       Oracle.assertEquivalent(
         pairs.toDF("v1", "v2", "t"),
